@@ -37,7 +37,6 @@ from .netlist import (
     emit_wrapper_hdl,
     variant_count,
 )
-from .visualize import occupancy, render_floorplan
 from .synthesis import (
     ModeSpec,
     ModuleSpec,
@@ -93,8 +92,6 @@ __all__ = [
     "save_design",
     "synthesise",
     "synthesise_module",
-    "occupancy",
-    "render_floorplan",
     "variant_count",
     "write_scheme_bitstreams",
 ]

@@ -29,9 +29,7 @@ The renderers, all exposed on ``repro render``:
 * :func:`render_replay_html` -- the replay latency dashboard over a
   per-policy comparison (:func:`repro.replay.collect_policy_comparison`).
 
-Plus the ASCII floorplan (:func:`render_floorplan`, absorbed from the
-retired ``repro.flow.visualize`` module, which remains as a thin
-compatibility shim).
+Plus the ASCII floorplan (:func:`render_floorplan`).
 
 Loading inputs (XML designs, telemetry directories, BENCH files) and
 writing artifacts is the *caller's* job -- see ``repro.cli``.

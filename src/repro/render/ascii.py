@@ -1,4 +1,4 @@
-"""ASCII floorplan rendering (absorbed from ``repro.flow.visualize``).
+"""ASCII floorplan rendering.
 
 Draws the device grid (one character per tile) with each placed region
 shown by a letter and resource columns marked in the footer -- the

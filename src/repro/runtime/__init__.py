@@ -41,17 +41,6 @@ from .manager import (
     replay,
 )
 
-def __getattr__(name: str):
-    # Deprecated alias: the old exception name shadowed the builtin
-    # ``EnvironmentError``.  Resolving it through the defining module
-    # keeps the warning text (and its single source of truth) there.
-    if name == "EnvironmentError":
-        from . import adaptive
-
-        return adaptive.EnvironmentError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AdaptiveEnvironmentError",
     "BurstyEnvironment",

@@ -131,7 +131,7 @@ class TestCanonicalForm:
 
 
 class TestSearchOptionsKey:
-    """The conditional "search" sub-dict in the canonical options."""
+    """Search options in the canonical form: stored keys stay stable."""
 
     @staticmethod
     def _key(design, **alloc):
@@ -154,22 +154,36 @@ class TestSearchOptionsKey:
             self._key(tiny_design)
         )
 
-    def test_bounded_search_knobs_change_key(self, tiny_design):
-        base = self._key(tiny_design)
-        distinct = {
-            base,
-            self._key(tiny_design, prune=True),
-            self._key(tiny_design, beam_width=4),
-            self._key(tiny_design, beam_width=16),
-            self._key(tiny_design, engine="portfolio"),
-            self._key(tiny_design, parallel_restarts=2),
-        }
-        assert len(distinct) == 6
+    #: Pinned ``problem_key`` digests of ``tiny_design`` at ``CAPACITY``.
+    #: Stored ``ResultCache`` and replay-store entries are keyed by
+    #: exactly these digests, so a change to the normal form that moves
+    #: them orphans every stored result (bump ``PROBLEM_VERSION`` then).
+    GOLDEN_KEYS = {
+        "none": "15451df4be3855f384de1750cb4fe98429155566e2dc9c4ef26addc1b591026a",
+        "defaults": "d6d52aba8c5f808d13c66431775061b362e07b74efee770e558fb6753a0b6eaf",
+        "strict-weighted": "62b095c82e6f7ec15ada8c80e6e8d94f64b372088a15bc3292f087f941b46d62",
+    }
 
-    def test_shared_seen_filter_excluded_from_key(self, tiny_design):
-        """The filter changes work distribution, never results."""
-        plain = self._key(tiny_design, parallel_restarts=2)
-        filtered = self._key(
-            tiny_design, parallel_restarts=2, shared_seen_filter=True
+    def test_golden_key_without_options(self, tiny_design):
+        assert problem_key(tiny_design, CAPACITY) == self.GOLDEN_KEYS["none"]
+
+    def test_golden_key_default_options(self, tiny_design):
+        assert (
+            problem_key(tiny_design, CAPACITY, PartitionerOptions())
+            == self.GOLDEN_KEYS["defaults"]
         )
-        assert plain == filtered
+
+    def test_golden_key_strict_weighted(self, tiny_design):
+        from repro.core.cost import TransitionPolicy
+
+        options = PartitionerOptions(
+            policy=TransitionPolicy.STRICT,
+            pair_probabilities={
+                ("Conf.1", "Conf.2"): 0.5,
+                ("Conf.2", "Conf.3"): 0.25,
+            },
+        )
+        assert (
+            problem_key(tiny_design, CAPACITY, options)
+            == self.GOLDEN_KEYS["strict-weighted"]
+        )

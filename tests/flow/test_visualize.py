@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.baselines import one_module_per_region_scheme
 from repro.flow.floorplan import floorplan
-from repro.flow.visualize import occupancy, render_floorplan
+from repro.render.ascii import occupancy, render_floorplan
 
 
 @pytest.fixture

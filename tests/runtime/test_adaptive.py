@@ -5,51 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.adaptive import (
-    AdaptiveEnvironmentError as EnvironmentError,
+    AdaptiveEnvironmentError,
     BurstyEnvironment,
     MarkovEnvironment,
     UniformEnvironment,
     uniform_markov,
 )
-
-
-class TestDeprecatedAlias:
-    """The old ``EnvironmentError`` name (which shadowed the builtin)
-    must keep importing, raising and catching through the alias."""
-
-    def test_alias_warns_and_resolves(self):
-        import repro.runtime.adaptive as adaptive
-
-        with pytest.warns(DeprecationWarning, match="AdaptiveEnvironmentError"):
-            alias = getattr(adaptive, "EnvironmentError")
-        assert alias is adaptive.AdaptiveEnvironmentError
-
-    def test_package_alias_warns_and_resolves(self):
-        import repro.runtime as runtime
-
-        with pytest.warns(DeprecationWarning):
-            alias = getattr(runtime, "EnvironmentError")
-        assert alias is runtime.AdaptiveEnvironmentError
-
-    def test_alias_still_raises_and_catches(self, paper_example):
-        import repro.runtime.adaptive as adaptive
-
-        with pytest.warns(DeprecationWarning):
-            alias = getattr(adaptive, "EnvironmentError")
-        # Raised as the new class, caught via the old name (same object).
-        try:
-            BurstyEnvironment(paper_example, dwell=2.0)
-        except alias as exc:
-            assert isinstance(exc, adaptive.AdaptiveEnvironmentError)
-            assert isinstance(exc, ValueError)
-        else:  # pragma: no cover - the constructor must reject dwell=2.0
-            raise AssertionError("expected the alias to catch the raise")
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.runtime.adaptive as adaptive
-
-        with pytest.raises(AttributeError):
-            adaptive.NoSuchThing
 
 
 class TestUniform:
@@ -85,17 +46,17 @@ class TestMarkov:
     def test_row_sums_validated(self, paper_example):
         names = [c.name for c in paper_example.configurations]
         bad = {src: {names[0]: 0.5} for src in names}
-        with pytest.raises(EnvironmentError, match="sums to"):
+        with pytest.raises(AdaptiveEnvironmentError, match="sums to"):
             MarkovEnvironment(paper_example, bad)
 
     def test_unknown_configuration_rejected(self, paper_example):
-        with pytest.raises(EnvironmentError, match="unknown source"):
+        with pytest.raises(AdaptiveEnvironmentError, match="unknown source"):
             MarkovEnvironment(paper_example, {"nope": {"Conf.1": 1.0}})
 
     def test_unknown_destination_rejected(self, paper_example):
         names = [c.name for c in paper_example.configurations]
         matrix = {src: {"ghost": 1.0} for src in names}
-        with pytest.raises(EnvironmentError, match="unknown destination"):
+        with pytest.raises(AdaptiveEnvironmentError, match="unknown destination"):
             MarkovEnvironment(paper_example, matrix)
 
     def test_negative_probability_rejected(self, paper_example):
@@ -103,11 +64,11 @@ class TestMarkov:
         matrix = {
             src: {names[0]: -1.0, names[1]: 2.0} for src in names
         }
-        with pytest.raises(EnvironmentError, match="negative"):
+        with pytest.raises(AdaptiveEnvironmentError, match="negative"):
             MarkovEnvironment(paper_example, matrix)
 
     def test_missing_rows_rejected(self, paper_example):
-        with pytest.raises(EnvironmentError, match="missing rows"):
+        with pytest.raises(AdaptiveEnvironmentError, match="missing rows"):
             MarkovEnvironment(paper_example, {"Conf.1": {"Conf.2": 1.0}})
 
     def test_trace_respects_support(self, paper_example):
@@ -121,7 +82,7 @@ class TestMarkov:
 
     def test_trace_start_validation(self, paper_example):
         env = self._env(paper_example)
-        with pytest.raises(EnvironmentError):
+        with pytest.raises(AdaptiveEnvironmentError):
             env.trace(5, start="ghost")
 
     def test_pair_probabilities_sum_to_switch_rate(self, paper_example):
@@ -142,16 +103,20 @@ class TestMarkov:
         from ..conftest import make_design
 
         d = make_design({"A": {"a": (1, 0, 0)}}, [("a",)])
-        with pytest.raises(EnvironmentError):
+        with pytest.raises(AdaptiveEnvironmentError):
             uniform_markov(d)
 
 
 class TestBursty:
     def test_dwell_bounds(self, paper_example):
-        with pytest.raises(EnvironmentError):
+        with pytest.raises(AdaptiveEnvironmentError):
             BurstyEnvironment(paper_example, dwell=1.0)
-        with pytest.raises(EnvironmentError):
+        with pytest.raises(AdaptiveEnvironmentError):
             BurstyEnvironment(paper_example, dwell=-0.1)
+        # A ValueError subclass, so generic input-validation handlers
+        # catch it too.
+        with pytest.raises(ValueError):
+            BurstyEnvironment(paper_example, dwell=2.0)
 
     def test_high_dwell_produces_runs(self, paper_example):
         trace = BurstyEnvironment(paper_example, dwell=0.95).trace(400, seed=1)

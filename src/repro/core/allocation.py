@@ -20,14 +20,17 @@ Two engines produce bit-identical results (see docs/PERFORMANCE.md):
 
 * ``engine="reference"`` -- the straightforward implementation: each
   descent step rescans all O(n^2) group pairs for the best merge;
-* ``engine="incremental"`` (default) -- a lazy-invalidation min-heap of
-  merge candidates.  Each restart seeds the heap from the live pairs of
-  its start state and each step only evaluates the pairs involving the
-  newly merged group; entries naming dead groups are dropped when
-  popped.  Heap keys carry monotone *slot* numbers so ties pop in the
-  reference engine's positional scan order, and per-pair merge stats
-  are memoised so repeated restarts never recompute them.  Running
-  footprint totals replace the per-state ``_fits`` rescan.
+* ``engine="incremental"`` (default) -- lazy-invalidation candidate
+  selection over two sources.  Base-base pair entries are the same on
+  every restart, so they are sorted once per candidate set and key
+  mode into a *base stream*; a small min-heap holds only the pairs
+  involving merged groups (the initial merge's at the start of a
+  restart, the newly merged group's after each step).  Each pop takes
+  the smaller head, and entries naming dead groups are dropped when
+  reached.  Candidate keys carry monotone *slot* numbers so ties pop in
+  the reference engine's positional scan order, and per-pair merge
+  stats are memoised so repeated restarts never recompute them.
+  Running footprint totals replace the per-state ``_fits`` rescan.
 
 Implementation note: this is the hot loop of the whole library (the
 Fig. 7-9 sweep runs it hundreds of thousands of times), so the internal
@@ -320,9 +323,10 @@ class _PairStats:
     engine scores with that entry):
 
     * :meth:`peek` never allocates the merged :class:`_Group` or touches
-      the cache's hit/miss books -- the cheap bound used to rank
-      ``initial_pairs`` (absent a cache entry it derives the value from
-      the overlay directly);
+      the cache's hit/miss books -- the cheap path used to rank
+      ``initial_pairs`` and the incremental engine's base stream
+      (absent a cache entry it derives the value from the overlay
+      directly);
     * :meth:`evaluate` materialises the pair through ``cache.merge`` the
       first time -- the incremental engine uses it for every pair a
       reference descent would itself evaluate, so both engines leave the
@@ -398,18 +402,18 @@ class _PairStats:
 
 
 class _HeapStats:
-    """Counters of the incremental engine's heap traffic (``merge.heap_*``);
-    ``expanded`` counts candidate merges evaluated exactly (heap
-    admissions, ``search.nodes_expanded``)."""
+    """Counters of the incremental engine's candidate traffic
+    (``merge.heap_*``), counted as if one heap held every live pair:
+    ``pushes`` are also the candidate merges evaluated exactly
+    (``search.nodes_expanded``)."""
 
-    __slots__ = ("pushes", "pops", "stale_drops", "rebuilds", "expanded")
+    __slots__ = ("pushes", "pops", "stale_drops", "rebuilds")
 
     def __init__(self) -> None:
         self.pushes = 0
         self.pops = 0
         self.stale_drops = 0
         self.rebuilds = 0
-        self.expanded = 0
 
 
 _ENGINES = ("incremental", "reference")
@@ -477,17 +481,27 @@ def search_candidate_set(
     competes; the arrangement with minimum total reconfiguration frames is
     returned as raw groups (convert with :func:`groups_to_scheme`).
     A shared ``merge_cache`` may be passed when several candidate sets of
-    one design are searched in sequence.  Metric totals are batched into
-    the ``tracer`` once per call, so the inner loops stay tracer-free.
+    one design are searched in sequence; it must be bound to the very
+    ``options.pair_weights`` object (``ValueError`` otherwise).  Metric
+    totals are batched into the ``tracer`` once per call, so the inner
+    loops stay tracer-free.
     """
     options = options or AllocationOptions()
     tracer = tracer or NULL_TRACER
     policy = options.policy
     cap: Vec = capacity.as_tuple()
-    cache = merge_cache or _MergeCache(options.pair_weights)
+    weights = options.pair_weights
+    if merge_cache is not None and merge_cache.weights is not weights:
+        # Base groups would be scored with one matrix and merged groups
+        # with the other.
+        raise ValueError(
+            "merge_cache is bound to a different pair-weight matrix than "
+            "options.pair_weights"
+        )
+    cache = merge_cache or _MergeCache(weights)
     cache_hits0, cache_misses0 = cache.hits, cache.misses
 
-    base = _initial_groups(design, cps, options.pair_weights, cache.codec)
+    base = _initial_groups(design, cps, weights, cache.codec)
     best_groups: list[_Group] | None = None
     best_cost: float | None = None
     states = 0
@@ -524,12 +538,12 @@ def search_candidate_set(
         merged_cost, _ = pair_stats.peek(a, b)
         return merged_cost - a.cost(policy) - b.cost(policy)
 
-    initial_pairs = [
+    pairs = [
         (i, j)
         for i, j in itertools.combinations(range(len(base)), 2)
         if _mergeable(base[i], base[j])
     ]
-    initial_pairs.sort(key=seed_delta)
+    initial_pairs = sorted(pairs, key=seed_delta)
     if options.max_initial_pairs is not None:
         initial_pairs = initial_pairs[: options.max_initial_pairs]
 
@@ -561,6 +575,7 @@ def search_candidate_set(
     else:
         descent_steps = _run_restarts_incremental(
             base,
+            pairs,
             initial_pairs,
             cap,
             options,
@@ -583,7 +598,7 @@ def search_candidate_set(
         tracer.count("merge.heap_pops", heap_stats.pops)
         tracer.count("merge.heap_stale_drops", heap_stats.stale_drops)
         tracer.count("merge.heap_rebuilds", heap_stats.rebuilds)
-        tracer.count("search.nodes_expanded", heap_stats.expanded)
+        tracer.count("search.nodes_expanded", heap_stats.pushes)
     return AllocationOutcome(
         best_groups=best_groups,
         best_cost=best_cost,
@@ -594,6 +609,7 @@ def search_candidate_set(
 
 def _run_restarts_incremental(
     base: list[_Group],
+    pairs: list[tuple[int, int]],
     initial_pairs: list[tuple[int, int]],
     capacity: Vec,
     options: AllocationOptions,
@@ -604,29 +620,44 @@ def _run_restarts_incremental(
     heap_stats: _HeapStats,
     progress: Callable[[int], None] | None = None,
 ) -> int:
-    """Heap-driven restart loop, bit-identical to the reference engine.
+    """Stream-plus-heap restart loop, bit-identical to the reference engine.
 
     Groups carry monotone *slot* numbers: base groups take 0..n-1, every
     merged group a fresh higher slot.  The live arrangement is a dict in
-    slot (== reference list position) order, so heap entries
+    slot (== reference list position) order, so candidate entries
     ``(key1, key2, slot_lo, slot_hi)`` break key ties exactly like the
     reference's positional first-seen-minimum scan.  The pre-fit phase
     keys by (-footprint saved, cost delta) and the post-fit phase by
     (cost delta, -footprint saved); within one descent the quantised
     footprint sum never increases under merging, so the mode flips at
-    most once (one full heap rebuild).  Stale entries naming dead slots
-    are dropped on pop; per-pair merge stats are memoised across
-    restarts, so re-seeding a heap never recomputes a merge.
+    most once.
+
+    Base-base entries (``pairs``, the compatible base pairs) are the
+    same tuples on every restart, so each key mode's entries are sorted
+    once per candidate set, on first need, into a *base stream*.  A
+    restart walks the stream from its head next to a small heap that
+    only holds pairs involving merged groups (seeded with the initial
+    merged group's pairs, grown by one group's pairs per step); each
+    pop takes the smaller of the two heads, so entries come out in
+    exactly the order one heap of every live pair would give.  Entries
+    naming dead slots are dropped when reached; stream entries already
+    dead when the stream was (re)seeded were never part of that heap
+    and are skipped without counting as stale.  At the mode flip the
+    descent moves to the other mode's stream and rebuilds the heap from
+    merged-group pairs only.
 
     Pair *evaluation* is deliberately kept congruent with the reference
-    scan: the heap for a state is only built (and new-group pairs are
-    only pushed) after that state passes the step-cap and seen-state
+    scan: a state's candidates are only seeded (and new-group pairs
+    only evaluated) after that state passes the step-cap and seen-state
     gates -- exactly when the reference engine would rescan it -- and
     every evaluation goes through :meth:`_PairStats.evaluate`, which
-    materialises the merged group in the shared cache.  Searches later
-    in a ``partition()`` run read values out of that cache, so matching
-    its *contents* (not just this search's result) is part of the
-    bit-identical contract.
+    materialises the merged group in the shared cache.  The stream
+    itself is ranked from the :meth:`_PairStats.peek` memo (the same
+    values), so base pairs are materialised separately: a pending list
+    holds those not yet evaluated, and each gated restart drains the
+    ones live in its start state.  Searches later in a ``partition()``
+    run read values out of that cache, so matching its *contents* (not
+    just this search's result) is part of the bit-identical contract.
     """
     policy = options.policy
     if policy is TransitionPolicy.STRICT:
@@ -648,9 +679,16 @@ def _run_restarts_incremental(
         base_c += fc
         base_b += fb
         base_d += fd
+    n_pairs = len(pairs)
+    deg = [0] * n
+    for k, l in pairs:
+        deg[k] += 1
+        deg[l] += 1
 
-    def entry_for(slot_lo, slot_hi, lo, hi, mode_fits):
-        merged_cost, merged_fp = pair_stats.evaluate(lo, hi)
+    def entry_for(
+        slot_lo, slot_hi, lo, hi, mode_fits, stats=pair_stats.evaluate
+    ):
+        merged_cost, merged_fp = stats(lo, hi)
         lo_fp = lo.footprint
         hi_fp = hi.footprint
         # Same operand order as the reference scan: (merged - lo) - hi.
@@ -664,7 +702,21 @@ def _run_restarts_incremental(
             return (delta, -saved, slot_lo, slot_hi)
         return (-saved, delta, slot_lo, slot_hi)
 
-    def build_entries(items, mode_fits):
+    streams: dict[bool, list] = {}
+
+    def stream_for(mode_fits):
+        stream = streams.get(mode_fits)
+        if stream is None:
+            peek = pair_stats.peek
+            stream = sorted(
+                entry_for(k, l, base[k], base[l], mode_fits, peek)
+                for k, l in pairs
+            )
+            streams[mode_fits] = stream
+        return stream
+
+    def merged_entries(items, mode_fits):
+        """Entries of every compatible live pair with a merged member."""
         entries = []
         m = len(items)
         for x in range(m):
@@ -672,13 +724,14 @@ def _run_restarts_incremental(
             ux = gx.usage
             for y in range(x + 1, m):
                 sy, gy = items[y]
-                if ux & gy.usage:
+                # Slots ascend along items, so sy < n means both are base.
+                if sy < n or ux & gy.usage:
                     continue
                 entries.append(entry_for(sx, sy, gx, gy, mode_fits))
-        entries.sort()
-        heap_stats.expanded += len(entries)
+        heapq.heapify(entries)
         return entries
 
+    pending = pairs
     total_steps = 0
     push = heapq.heappush
     pop = heapq.heappop
@@ -707,19 +760,60 @@ def _run_restarts_incremental(
         # step-cap check never fires before the first step.
         if len(alive) > 1 and state_sig not in seen_states:
             seen_states.add(state_sig)
+            if pending:
+                # Materialise the start state's not-yet-evaluated base
+                # pairs, as the reference's first rescan would.
+                rest = []
+                for k, l in pending:
+                    if k == i or k == j or l == i or l == j:
+                        rest.append((k, l))
+                    else:
+                        pair_stats.evaluate(base[k], base[l])
+                pending = rest
             sig_set = set(state_sig)
             mode = fits_now
-            heap = build_entries(list(alive.items()), mode)
-            heap_stats.pushes += len(heap)
+            stream = stream_for(mode)
+            stream_len = len(stream)
+            pos = 0
+            # Per base slot: 1 live, 2 merged since the stream was
+            # (re)seeded, 0 dead before it.  A stream entry's product
+            # is 1 when live, 0 when it was never seeded, else stale.
+            state = [1] * n
+            state[i] = state[j] = 0
+            stale = 0
+            mu = merged.usage
+            heap = [
+                entry_for(s, slot, g, merged, mode)
+                for s, g in alive.items()
+                if s != slot and not g.usage & mu
+            ]
+            heapq.heapify(heap)
+            seeded = n_pairs - deg[i] - deg[j] + 1 + len(heap)
+            heap_stats.pushes += seeded
 
             while True:
                 entry = None
-                while heap:
-                    candidate = pop(heap)
+                while True:
+                    if pos < stream_len:
+                        candidate = stream[pos]
+                        if not heap or candidate < heap[0]:
+                            pos += 1
+                            live = state[candidate[2]] * state[candidate[3]]
+                            if live == 1:
+                                entry = candidate
+                                break
+                            if live:
+                                stale += 1
+                            continue
+                        candidate = pop(heap)
+                    elif heap:
+                        candidate = pop(heap)
+                    else:
+                        break
                     if candidate[2] in alive and candidate[3] in alive:
                         entry = candidate
                         break
-                    heap_stats.stale_drops += 1
+                    stale += 1
                 if entry is None:
                     break
                 heap_stats.pops += 1
@@ -729,6 +823,10 @@ def _run_restarts_incremental(
                 slot_lo, slot_hi = entry[2], entry[3]
                 ga = alive.pop(slot_lo)
                 gb = alive.pop(slot_hi)
+                if slot_lo < n:
+                    state[slot_lo] = 2
+                    if slot_hi < n:
+                        state[slot_hi] = 2
                 merged_next = cache.merge(ga, gb)
                 slot += 1
                 alive[slot] = merged_next
@@ -755,9 +853,21 @@ def _run_restarts_incremental(
                     # sums are non-increasing under merging, so this
                     # happens at most once per descent.
                     mode = True
-                    heap = build_entries(list(alive.items()), True)
+                    stream = stream_for(True)
+                    stream_len = len(stream)
+                    pos = 0
+                    dead = [k for k in range(n) if state[k] != 1]
+                    for k in dead:
+                        state[k] = 0
+                    # Live base pairs: all, less those touching a dead
+                    # slot (inclusion-exclusion over dead-dead pairs).
+                    live_base = n_pairs - sum(deg[k] for k in dead)
+                    for a, b in itertools.combinations(dead, 2):
+                        if not base[a].usage & base[b].usage:
+                            live_base += 1
+                    heap = merged_entries(list(alive.items()), True)
                     heap_stats.rebuilds += 1
-                    heap_stats.pushes += len(heap)
+                    heap_stats.pushes += live_base + len(heap)
                 else:
                     # fits_now never reverts, so mode == fits_now here.
                     mu = merged_next.usage
@@ -769,7 +879,7 @@ def _run_restarts_incremental(
                             entry_for(s, slot, g, merged_next, mode),
                         )
                         heap_stats.pushes += 1
-                        heap_stats.expanded += 1
+            heap_stats.stale_drops += stale
 
         total_steps += steps
         if progress is not None:

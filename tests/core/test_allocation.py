@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.arch.resources import ResourceVector
@@ -268,6 +269,29 @@ class TestSearch:
         # Both engines are accepted.
         AllocationOptions(engine="reference")
         AllocationOptions(engine="incremental")
+
+    def test_merge_cache_weight_mismatch_raises(self, paper_example):
+        cps = first_cps(paper_example)
+        capacity = ResourceVector(10_000, 100, 100)
+        n = paper_example.configuration_count
+        W = np.ones((n, n))
+        mismatches = [
+            (AllocationOptions(), _MergeCache(W)),
+            (AllocationOptions(pair_weights=W), _MergeCache()),
+            # Equal values are not enough: the cache must hold the very
+            # matrix the options carry.
+            (AllocationOptions(pair_weights=W), _MergeCache(W.copy())),
+        ]
+        for options, cache in mismatches:
+            with pytest.raises(ValueError, match="pair-weight"):
+                search_candidate_set(
+                    paper_example, cps, capacity, options, cache
+                )
+        outcome = search_candidate_set(
+            paper_example, cps, capacity,
+            AllocationOptions(pair_weights=W), _MergeCache(W),
+        )
+        assert outcome.found
 
     def test_search_counters_emitted(self, tiny_design):
         from repro.obs import RecordingTracer

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.arch.library import virtex5_ladder
 from repro.arch.resources import ResourceVector
+from repro.core.allocation import AllocationOptions
 from repro.core.baselines import (
     one_module_per_region_scheme,
     single_region_scheme,
@@ -24,6 +27,7 @@ from repro.core.partitioner import (
     select_device,
     smallest_device_for_scheme,
 )
+from repro.eval.casestudy import CASESTUDY_BUDGET, casestudy_design
 
 from ..conftest import make_design
 
@@ -80,6 +84,46 @@ class TestPartition:
         assert result.total_frames == total_reconfiguration_frames(
             result.scheme, TransitionPolicy.STRICT
         )
+
+    def test_shared_allocation_options_keep_each_policy(self):
+        alloc = AllocationOptions()
+        a = PartitionerOptions(policy=TransitionPolicy.STRICT, allocation=alloc)
+        b = PartitionerOptions(policy=TransitionPolicy.LENIENT, allocation=alloc)
+        assert a.allocation.policy is TransitionPolicy.STRICT
+        assert b.allocation.policy is TransitionPolicy.LENIENT
+        assert alloc == AllocationOptions()
+
+    def test_partition_leaves_caller_options_unchanged(self):
+        design = casestudy_design()
+        names = [c.name for c in design.configurations]
+        opts = PartitionerOptions(
+            pair_probabilities={(names[0], names[1]): 0.6}
+        )
+        before = replace(opts.allocation)
+        partition(design, CASESTUDY_BUDGET, opts)
+        assert opts.allocation.pair_weights is None
+        assert opts.allocation == before
+
+    def test_options_reused_across_designs(self, paper_example, tiny_design):
+        # 8, 5, 3 and again 5 configurations through one options object.
+        budget = ResourceVector(2000, 50, 50)
+        problems = [
+            (casestudy_design(), CASESTUDY_BUDGET),
+            (paper_example, budget),
+            (tiny_design, budget),
+            (paper_example, budget),
+        ]
+        shared = PartitionerOptions(policy=TransitionPolicy.STRICT)
+        for design, capacity in problems:
+            reused = partition(design, capacity, shared)
+            fresh = partition(
+                design, capacity,
+                PartitionerOptions(policy=TransitionPolicy.STRICT),
+            )
+            assert reused.total_frames == fresh.total_frames
+            assert [r.labels for r in reused.scheme.regions] == [
+                r.labels for r in fresh.scheme.regions
+            ]
 
     def test_disable_single_region_fallback(self, tiny_design):
         budget = ResourceVector(260, 0, 0)

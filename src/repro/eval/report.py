@@ -7,37 +7,9 @@ eyeballed against the paper directly in a terminal or a log file.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-
-def render_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    title: str | None = None,
-) -> str:
-    """A boxed, column-aligned ASCII table."""
-    str_rows = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError(
-                f"row has {len(row)} cells, expected {len(headers)}"
-            )
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-
-    def line(cells: Sequence[str]) -> str:
-        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-
-    rule = "+-" + "-+-".join("-" * w for w in widths) + "-+"
-    out = []
-    if title:
-        out.append(title)
-    out.extend([rule, line(list(headers)), rule])
-    for row in str_rows:
-        out.append(line(row))
-    out.append(rule)
-    return "\n".join(out)
+from ..obs.render import render_table  # noqa: F401  (re-exported)
 
 
 def render_series(

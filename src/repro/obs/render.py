@@ -1,31 +1,43 @@
 """Human-readable stage summaries of recorded traces.
 
-Dependency-free (this package sits below :mod:`repro.eval`, which
-re-exports :func:`render_trace_summary` next to the paper-table
-renderers), so the boxed-table formatting is reimplemented here in
-miniature rather than imported from ``repro.eval.report``.
+Dependency-free: this package sits below :mod:`repro.eval`, so the
+boxed-table formatter lives here and :mod:`repro.eval.report`
+re-exports it next to the paper-table renderers.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .tracer import RecordingTracer, Trace
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def render_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    title: str | None = None,
+) -> str:
+    """A boxed, column-aligned ASCII table."""
     str_rows = [[str(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in str_rows:
+        if len(row) != len(headers):
+            raise ValueError(
+                f"row has {len(row)} cells, expected {len(headers)}"
+            )
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    rule = "+-" + "-+-".join("-" * w for w in widths) + "-+"
 
     def line(cells: Sequence[str]) -> str:
         return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
 
-    out = [rule, line(list(headers)), rule]
-    out.extend(line(row) for row in str_rows)
+    rule = "+-" + "-+-".join("-" * w for w in widths) + "-+"
+    out = []
+    if title:
+        out.append(title)
+    out.extend([rule, line(list(headers)), rule])
+    for row in str_rows:
+        out.append(line(row))
     out.append(rule)
     return "\n".join(out)
 
@@ -80,7 +92,7 @@ def render_trace_summary(trace: Trace | RecordingTracer) -> str:
         for stage, calls, secs, pct in stage_summary_rows(trace)
     ]
     blocks = [
-        _table(("stage", "calls", "time (s)", "% of total"), rows)
+        render_table(("stage", "calls", "time (s)", "% of total"), rows)
         if rows
         else "(no spans recorded)"
     ]
@@ -116,7 +128,9 @@ def render_trace_summary(trace: Trace | RecordingTracer) -> str:
         ]
         blocks.append(
             "histograms:\n"
-            + _table(("histogram", "count", "p50", "p90", "p99", "max"), rows)
+            + render_table(
+                ("histogram", "count", "p50", "p90", "p99", "max"), rows
+            )
         )
     if trace.events:
         blocks.append(f"progress events: {trace.events}")

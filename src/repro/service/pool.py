@@ -10,23 +10,23 @@ cores and never let one of them wedge the batch.
    dispatching a worker or re-running any search stage**;
 2. misses are executed in (priority desc, fair round-robin, FIFO) order
    -- the :meth:`~repro.service.jobs.JobStore.pending` schedule --
-   inline for ``workers=1`` with no supervision; on a persistent *warm*
-   process pool for plain multi-worker batches (workers survive across
-   jobs and batches, so per-process scheme caches keep paying off);
-   else one *supervised* ``multiprocessing.Process`` per job, at most
-   ``workers`` in flight;
+   inline for ``workers=1`` with no supervision, else on one module-level
+   pool of persistent, killable worker processes, at most ``workers`` in
+   flight.  Workers survive across jobs and batches, so per-process
+   scheme caches keep paying off (``pool.warm_hits``); only a worker
+   that dies or is killed is respawned;
 3. a worker exception never poisons the batch: the traceback travels
    back as data, the job re-queues until its attempt cap, then lands in
    ``failed`` while every other job keeps flowing;
-4. under supervision each worker **heartbeats** (touches a per-job file
-   every ``heartbeat_interval_s``) while computing, and the parent's
-   drain loop enforces a per-job ``job_timeout_s`` deadline plus a
-   ``heartbeat_timeout_s`` staleness threshold -- a hung worker is
-   killed, its job fails with a ``timeout ...`` error and re-queues
-   until its attempt cap, and the freed slot is refilled so the batch
-   always terminates.  A worker that *dies* without reporting (OOM
-   kill, segfault) is detected the same way, without waiting for any
-   deadline.
+4. a pool worker that *dies* without reporting (OOM kill, segfault)
+   fails only its own job, detected the moment its pipe or process
+   sentinel fires.  Supervision adds checks to the same drain loop:
+   each worker **heartbeats** (touches a per-job file every
+   ``heartbeat_interval_s``) while computing, and the loop enforces a
+   per-job ``job_timeout_s`` deadline plus a ``heartbeat_timeout_s``
+   staleness threshold -- a hung worker is killed, its job fails with a
+   ``timeout ...`` error and re-queues until its attempt cap, and the
+   freed slot is refilled so the batch always terminates.
 
 Deterministic fault injection for all of the above lives in
 :mod:`repro.service.faults` and threads through the worker payload --
@@ -45,11 +45,13 @@ import heapq
 import json
 import multiprocessing
 import os
+import signal
 import tempfile
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -74,10 +76,7 @@ from .problem import ResolvedProblem, resolve_problem_text
 #: Default worker beat period under supervision (seconds).
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
 
-#: Parent poll period of the supervision loop (seconds).
-DEFAULT_POLL_S = 0.05
-
-#: Scratch space (heartbeat + result spool files) inside the queue dir.
+#: Scratch space (heartbeat files) inside the queue dir.
 WORK_DIRNAME = ".work"
 
 
@@ -85,13 +84,8 @@ class ServiceError(RuntimeError):
     """Raised for batch-service misuse (not for per-job failures)."""
 
 
-def _job_options(job_or_sets: Job | int | None) -> PartitionerOptions:
-    sets = (
-        job_or_sets.max_candidate_sets
-        if isinstance(job_or_sets, Job)
-        else job_or_sets
-    )
-    return PartitionerOptions(max_candidate_sets=sets)
+def _job_options(max_candidate_sets: int | None) -> PartitionerOptions:
+    return PartitionerOptions(max_candidate_sets=max_candidate_sets)
 
 
 def job_problem_key(job: Job, library: DeviceLibrary | None = None) -> str:
@@ -218,15 +212,17 @@ class _Heartbeat:
                 return
 
     def stop(self) -> None:
+        # Join: no late beat may recreate a file the parent retired.
         self._stopped.set()
+        self._thread.join()
 
 
 def execute_job_payload(payload: dict[str, Any]) -> dict[str, Any]:
     """Worker entry point: run one job, write the cache, report as data.
 
-    Must stay a module-level function (it is pickled to pool workers)
-    and must never let a job failure raise -- exceptions become
-    ``ok=False`` payloads so one bad job cannot take down the pool.
+    Runs inside a pool worker (:func:`_worker_loop`) and must never let
+    a job failure raise -- exceptions become ``ok=False`` payloads so
+    one bad job cannot take down its worker.
     Interrupts (``KeyboardInterrupt``/``SystemExit``) still propagate:
     with ``workers=1`` this runs inline in the parent, and Ctrl-C must
     stop the batch, not count as a job failure.
@@ -326,31 +322,6 @@ def _write_json_atomic(path: Path, doc: dict[str, Any]) -> None:
         raise
 
 
-def _worker_main(payload: dict[str, Any], result_path: str) -> None:
-    """Supervised-process entry: run the job, spool the outcome to disk.
-
-    The outcome file is the worker's *only* report channel -- written
-    atomically, so the parent either sees a complete outcome or none at
-    all (a killed/dead worker leaves nothing, which the supervisor
-    treats as a worker death).
-    """
-    _write_json_atomic(Path(result_path), execute_job_payload(payload))
-
-
-@dataclass
-class _Running:
-    """Parent-side view of one supervised in-flight worker."""
-
-    job: Job
-    key: str
-    process: multiprocessing.process.BaseProcess
-    result_path: Path
-    heartbeat_path: Path
-    started_perf: float
-    started_wall: float
-    last_beat_wall: float
-
-
 @dataclass
 class BatchReport:
     """Aggregate outcome and throughput metrics of one ``run_batch``."""
@@ -405,11 +376,11 @@ class BatchReport:
 class _PoolTelemetry:
     """Occupancy gauges and resource records for one ``run_batch``.
 
-    One instance per run, shared by every drain mode.  It deduplicates
-    occupancy samples (a poll loop observes the same shape thousands of
-    times; only *changes* land in the sink) and keeps the tracer's
-    ``service.pool_in_flight`` / ``service.pool_queue_depth`` gauges
-    current.  Everything here is best-effort display/report data -- a
+    One instance per run, shared by both execution paths.  It
+    deduplicates occupancy samples (the drain loop observes the same
+    shape many times; only *changes* land in the sink) and keeps the
+    tracer's ``service.pool_in_flight`` / ``service.pool_queue_depth``
+    gauges current.  Everything here is best-effort display/report data -- a
     failure to read a heartbeat file never fails the batch.
     """
 
@@ -474,15 +445,6 @@ class _PoolTelemetry:
         )
 
 
-def _kill(process: multiprocessing.process.BaseProcess) -> None:
-    """Stop a hung worker: SIGTERM, then SIGKILL if it ignores that."""
-    process.terminate()
-    process.join(timeout=1.0)
-    if process.is_alive():
-        process.kill()
-        process.join(timeout=5.0)
-
-
 def run_batch(
     store: JobStore,
     cache: ResultCache,
@@ -493,7 +455,6 @@ def run_batch(
     heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
     heartbeat_timeout_s: float | None = None,
     faults: FaultPlan | None = None,
-    poll_s: float = DEFAULT_POLL_S,
     sink: TelemetrySink | None = None,
     collect_worker_traces: bool | None = None,
     registry: "RunRegistry | None" = None,
@@ -506,12 +467,14 @@ def run_batch(
     ``heartbeat_interval_s``).  Setting either -- or injecting
     ``faults`` (the deterministic test-only plan from
     :mod:`repro.service.faults`, which may crash or wedge workers on
-    purpose) -- engages *supervision*: jobs run in dedicated killable
-    processes even with ``workers=1``.  Without supervision,
-    ``workers=1`` runs jobs inline in the parent (nothing can preempt
-    the caller's own thread) and ``workers>1`` runs them on a
-    persistent warm process pool that survives across batches, keeping
-    per-worker scheme caches hot (``pool.warm_hits``).
+    purpose) -- engages *supervision*: heartbeat, deadline and
+    staleness checks in the pool's drain loop, which then runs jobs on
+    killable pool workers even with ``workers=1``.  Without
+    supervision, ``workers=1`` runs jobs inline in the parent (nothing
+    can preempt the caller's own thread).  Every other batch drains on
+    one module-level pool of persistent worker processes that survives
+    across batches, keeping per-worker scheme caches hot
+    (``pool.warm_hits``); a worker that dies fails only its own job.
 
     ``sink`` persists the run's telemetry (progress events, one ``job``
     record per outcome keyed by job id + problem key, one end-of-run
@@ -535,12 +498,10 @@ def run_batch(
         raise ServiceError("job_timeout_s must be positive")
     if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 0:
         raise ServiceError("heartbeat_timeout_s must be positive")
-    # Supervision (one killable process per job) engages only when the
-    # caller asks for something that needs it: deadlines, heartbeat
-    # staleness, or injected faults (which may crash/wedge workers on
-    # purpose).  Plain multi-worker batches instead run on a persistent
-    # *warm* pool -- workers survive across jobs and batches, so their
-    # module-level scheme caches keep paying off (pool.warm_hits).
+    # Supervision (heartbeats, deadlines, kill-and-requeue) engages only
+    # when the caller asks for something that needs it: deadlines,
+    # heartbeat staleness, or injected faults (which may crash/wedge
+    # workers on purpose).
     supervised = (
         job_timeout_s is not None
         or heartbeat_timeout_s is not None
@@ -794,35 +755,29 @@ def run_batch(
                 payload["fault"] = faults.payload_for(job.name, claimed.attempts)
             return payload
 
-        if not supervised:
-            if workers == 1:
-                while heap:
-                    _prio, _seq, job, key = heapq.heappop(heap)
-                    pool_tele.occupancy(1, len(heap))
-                    handle(execute_job_payload(payload_for(job, key)))
-                pool_tele.occupancy(0, 0)
-            else:
-                _drain_warm(
-                    heap=heap,
-                    workers=workers,
-                    payload_for=payload_for,
-                    handle=handle,
-                    pool_tele=pool_tele,
-                )
+        if workers == 1 and not supervised:
+            while heap:
+                _prio, _seq, job, key = heapq.heappop(heap)
+                pool_tele.occupancy(1, len(heap))
+                handle(execute_job_payload(payload_for(job, key)))
         else:
-            _drain_supervised(
+            workdir = None
+            if supervised:
+                workdir = store.directory / WORK_DIRNAME
+                workdir.mkdir(parents=True, exist_ok=True)
+            _drain(
                 heap=heap,
                 workers=workers,
                 payload_for=payload_for,
                 handle=handle,
-                store=store,
+                pool_tele=pool_tele,
                 tracer=tracer,
+                workdir=workdir,
                 job_timeout_s=job_timeout_s,
                 heartbeat_interval_s=heartbeat_interval_s,
                 heartbeat_timeout_s=heartbeat_timeout_s,
-                poll_s=poll_s,
-                pool_tele=pool_tele,
             )
+        pool_tele.occupancy(0, 0)
 
         duration = time.perf_counter() - started
         tracer.count("service.jobs_done", hits + computed)
@@ -874,272 +829,236 @@ def run_batch(
     return report
 
 
-#: Persistent warm batch pools, cached per worker count.  Workers
-#: survive across jobs *and* ``run_batch`` calls, which is what lets the
-#: replay service's module-level scheme cache keep paying off
-#: (``pool.warm_hits``) fleet-wide.
-_WARM_EXECUTORS: dict[int, Any] = {}
+def _kill(process: multiprocessing.process.BaseProcess) -> None:
+    """Stop a worker: SIGTERM, then SIGKILL if it ignores that."""
+    process.terminate()
+    process.join(timeout=1.0)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout=5.0)
 
 
-def _warm_executor(workers: int):
-    executor = _WARM_EXECUTORS.get(workers)
-    if executor is None:
-        from concurrent.futures import ProcessPoolExecutor
+def _worker_loop(conn: Connection) -> None:
+    """Pool worker entry: run each received payload, send back its outcome.
 
-        executor = ProcessPoolExecutor(max_workers=workers)
-        _WARM_EXECUTORS[workers] = executor
-    return executor
-
-
-def _retire_warm_executor(workers: int) -> None:
-    executor = _WARM_EXECUTORS.pop(workers, None)
-    if executor is not None:
+    SIGINT is ignored: Ctrl-C reaches the whole process group, and
+    stopping a batch is the parent's call (its drain kills the busy
+    workers), so idle workers stay warm for the next batch.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
         try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
+            payload = conn.recv()
+        except EOFError:
+            return
+        conn.send(execute_job_payload(payload))
 
 
-def _drain_warm(heap, workers, payload_for, handle, pool_tele=None) -> None:
-    """Unsupervised multi-worker drain on the persistent warm pool.
+@dataclass
+class _Worker:
+    """One persistent pool process and the parent's end of its pipe."""
 
-    At most ``workers`` jobs in flight; each completion refills the
-    slot (and may push a retry back onto ``heap`` via ``handle``).  A
-    broken pool (a worker killed hard, e.g. by the OOM killer) fails
-    every in-flight job -- their attempt caps still apply, so they
-    re-queue like any other failure -- and the pool is rebuilt before
-    the drain continues, so one dead worker never strands the batch.
-    """
-    from concurrent.futures import FIRST_COMPLETED, wait
-    from concurrent.futures.process import BrokenProcessPool
+    process: multiprocessing.process.BaseProcess
+    conn: Connection
 
-    in_flight: dict[Any, tuple[str, float]] = {}
-
-    def fail(job_id: str, started_perf: float, error: str) -> None:
-        handle({
-            "job_id": job_id,
-            "ok": False,
-            "error": error,
-            "compute_s": time.perf_counter() - started_perf,
-        })
-
-    while heap or in_flight:
-        executor = _warm_executor(workers)
-        while heap and len(in_flight) < workers:
-            _prio, _seq, job, key = heapq.heappop(heap)
-            started_perf = time.perf_counter()
-            try:
-                future = executor.submit(
-                    execute_job_payload, payload_for(job, key)
-                )
-            except BrokenProcessPool:
-                _retire_warm_executor(workers)
-                fail(
-                    job.id, started_perf,
-                    "warm worker pool broke before dispatch; pool rebuilt",
-                )
-                executor = _warm_executor(workers)
-                continue
-            in_flight[future] = (job.id, started_perf)
-        if pool_tele is not None:
-            pool_tele.occupancy(len(in_flight), len(heap))
-        if not in_flight:
-            continue
-        done, _pending = wait(set(in_flight), return_when=FIRST_COMPLETED)
-        broken = False
-        for future in done:
-            job_id, started_perf = in_flight.pop(future)
-            try:
-                outcome = future.result()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BrokenProcessPool:
-                broken = True
-                fail(
-                    job_id, started_perf,
-                    "worker process died without reporting (warm pool broke)",
-                )
-            except BaseException:
-                fail(job_id, started_perf, traceback.format_exc())
-            else:
-                handle(outcome)
-        if broken:
-            # The executor is unusable; every remaining in-flight
-            # future fails with it.  Fail them now (their retries go
-            # back on the heap) and start the next round on a fresh
-            # pool.
-            for job_id, started_perf in in_flight.values():
-                fail(
-                    job_id, started_perf,
-                    "worker process died without reporting (warm pool broke)",
-                )
-            in_flight.clear()
-            _retire_warm_executor(workers)
-    if pool_tele is not None:
-        pool_tele.occupancy(0, 0)
-
-
-def _shutdown_warm_executors() -> None:
-    while _WARM_EXECUTORS:
-        workers, _executor = next(iter(_WARM_EXECUTORS.items()))
-        _retire_warm_executor(workers)
-
-
-atexit.register(_shutdown_warm_executors)
-
-
-def _drain_supervised(
-    heap,
-    workers,
-    payload_for,
-    handle,
-    store,
-    tracer,
-    job_timeout_s,
-    heartbeat_interval_s,
-    heartbeat_timeout_s,
-    poll_s,
-    pool_tele=None,
-) -> None:
-    """The supervised drain loop: one killable process per job.
-
-    At most ``workers`` processes run at once; each slot is refilled the
-    moment its worker reports, dies or is killed, so the loop terminates
-    whenever every job reaches a terminal state -- a hung worker cannot
-    stall it.  Detection channels, checked every ``poll_s``:
-
-    * an outcome spool file -- the worker finished (ok or not);
-    * a dead process with no outcome -- the worker crashed hard;
-    * ``job_timeout_s`` exceeded -- the job overran its deadline;
-    * no heartbeat for ``heartbeat_timeout_s`` -- the worker is wedged
-      (detected well before a generous deadline would fire).
-    """
-    ctx = multiprocessing.get_context()
-    workdir = store.directory / WORK_DIRNAME
-    workdir.mkdir(parents=True, exist_ok=True)
-    running: dict[str, _Running] = {}
-
-    def spawn(job: Job, key: str) -> None:
-        payload = payload_for(job, key)
-        result_path = workdir / f"{job.id}.outcome.json"
-        heartbeat_path = workdir / f"{job.id}.heartbeat"
-        result_path.unlink(missing_ok=True)
-        heartbeat_path.unlink(missing_ok=True)
-        payload["heartbeat_path"] = str(heartbeat_path)
-        payload["heartbeat_interval_s"] = heartbeat_interval_s
+    @classmethod
+    def spawn(cls) -> "_Worker":
+        # Default start method (fork on Linux): respawns skip re-imports.
+        ctx = multiprocessing.get_context()
+        conn, child = ctx.Pipe()
         process = ctx.Process(
-            target=_worker_main,
-            args=(payload, str(result_path)),
-            daemon=True,
-            name=f"repro-batch-{job.id}",
+            target=_worker_loop, args=(child,), daemon=True,
+            name="repro-batch-worker",
         )
         process.start()
-        now = time.time()
-        running[job.id] = _Running(
-            job=job,
-            key=key,
-            process=process,
-            result_path=result_path,
-            heartbeat_path=heartbeat_path,
-            started_perf=time.perf_counter(),
-            started_wall=now,
-            last_beat_wall=now,
-        )
+        child.close()
+        return cls(process, conn)
 
-    def retire(entry: _Running) -> None:
-        entry.result_path.unlink(missing_ok=True)
-        entry.heartbeat_path.unlink(missing_ok=True)
+    def stop(self) -> None:
+        _kill(self.process)
+        self.conn.close()
+
+
+#: The batch worker pool.  It grows to the largest ``workers`` any
+#: ``run_batch`` asked for; a slot is respawned only when its process
+#: died or was killed, so every other worker -- and the replay
+#: service's module-level scheme cache inside it (``pool.warm_hits``)
+#: -- survives across jobs *and* ``run_batch`` calls.
+_POOL: list[_Worker] = []
+
+
+def _live_worker(slot: int) -> _Worker:
+    """Pool worker ``slot``, (re)spawned if it is missing or dead."""
+    while len(_POOL) <= slot:
+        _POOL.append(_Worker.spawn())
+    if not _POOL[slot].process.is_alive():
+        _POOL[slot].stop()
+        _POOL[slot] = _Worker.spawn()
+    return _POOL[slot]
+
+
+def _shutdown_pool() -> None:
+    while _POOL:
+        _POOL.pop().stop()
+
+
+atexit.register(_shutdown_pool)
+
+
+@dataclass
+class _InFlight:
+    """Parent-side view of one busy pool worker."""
+
+    job_id: str
+    key: str
+    started_perf: float
+    heartbeat_path: Path | None = None
+    last_beat_wall: float = 0.0
+
+
+def _drain(
+    heap, workers, payload_for, handle, pool_tele, tracer,
+    workdir, job_timeout_s, heartbeat_interval_s, heartbeat_timeout_s,
+) -> None:
+    """Drain ``heap`` on the first ``workers`` pool workers.
+
+    Each idle worker takes the next job; the loop then waits on the
+    busy workers' pipes and process sentinels, and refills every slot
+    the moment its job ends, so the loop terminates whenever every job
+    reaches a terminal state.  Each event goes through ``handle``:
+
+    * an outcome on the pipe -- the worker finished (ok or not);
+    * EOF or a dead sentinel -- the worker died without reporting;
+      only its own job fails, and only that worker is respawned;
+    * under supervision (``workdir`` holds the heartbeat files):
+      ``job_timeout_s`` exceeded, or no heartbeat for
+      ``heartbeat_timeout_s`` -- the worker is killed.
+
+    The wait blocks when unsupervised; supervised, it wakes at least
+    every ``heartbeat_interval_s`` and at the nearest deadline.
+    Whatever escapes the loop (``KeyboardInterrupt`` included), the
+    busy workers are killed and their heartbeat files retired.
+    """
+    busy: dict[int, _InFlight] = {}
+
+    def retire(slot: int) -> _InFlight:
+        flight = busy.pop(slot)
+        if flight.heartbeat_path is not None:
+            flight.heartbeat_path.unlink(missing_ok=True)
+        return flight
+
+    def supervise(slot: int, now_wall: float) -> None:
+        """Observe one busy worker's heartbeat; kill it if overdue."""
+        flight = busy[slot]
+        assert flight.heartbeat_path is not None
+        try:
+            beat = flight.heartbeat_path.stat().st_mtime
+        except OSError:
+            beat = flight.last_beat_wall
+        elapsed = time.perf_counter() - flight.started_perf
+        if beat > flight.last_beat_wall:
+            flight.last_beat_wall = beat
+            if tracer.enabled:
+                tracer.progress(
+                    "batch.heartbeat",
+                    job=flight.job_id,
+                    key=flight.key,
+                    elapsed_s=elapsed,
+                )
+            pool_tele.live(flight.job_id, flight.heartbeat_path)
+        reason = None
+        if job_timeout_s is not None and elapsed > job_timeout_s:
+            reason = f"deadline {job_timeout_s:g}s exceeded"
+        elif (
+            heartbeat_timeout_s is not None
+            and now_wall - flight.last_beat_wall > heartbeat_timeout_s
+        ):
+            reason = (
+                f"no heartbeat for {now_wall - flight.last_beat_wall:.2f}s "
+                f"(threshold {heartbeat_timeout_s:g}s)"
+            )
+        if reason is None:
+            return
+        _kill(_POOL[slot].process)
+        retire(slot)
+        if tracer.enabled:
+            tracer.progress(
+                "batch.job_timeout",
+                job=flight.job_id,
+                key=flight.key,
+                reason=reason,
+                elapsed_s=elapsed,
+            )
+        handle({
+            "job_id": flight.job_id,
+            "ok": False,
+            "error": f"timeout after {elapsed:.2f}s: {reason}",
+            "compute_s": elapsed,
+            "timeout": True,
+        })
 
     try:
-        while heap or running:
-            while heap and len(running) < workers:
+        while heap or busy:
+            for slot in range(workers):
+                if not heap:
+                    break
+                if slot in busy:
+                    continue
                 _prio, _seq, job, key = heapq.heappop(heap)
-                spawn(job, key)
-            if pool_tele is not None:
-                pool_tele.occupancy(len(running), len(heap))
-
-            time.sleep(poll_s)
-            now_wall = time.time()
-            for job_id, entry in list(running.items()):
-                # Channel 1: the worker reported an outcome.
-                if entry.result_path.exists():
-                    outcome = json.loads(
-                        entry.result_path.read_text(encoding="utf-8")
-                    )
-                    entry.process.join(timeout=5.0)
-                    if entry.process.is_alive():  # pragma: no cover
-                        _kill(entry.process)
-                    retire(entry)
-                    del running[job_id]
-                    handle(outcome)
-                    continue
-                # Channel 2: the worker died without reporting.
-                if not entry.process.is_alive():
-                    retire(entry)
-                    del running[job_id]
-                    handle({
-                        "job_id": job_id,
-                        "ok": False,
-                        "error": (
-                            "worker process died without reporting "
-                            f"(exit code {entry.process.exitcode})"
-                        ),
-                        "compute_s": time.perf_counter() - entry.started_perf,
-                    })
-                    continue
-                # Observe heartbeats (and surface them to the tracer).
+                worker = _live_worker(slot)
+                payload = payload_for(job, key)
+                flight = _InFlight(job.id, key, time.perf_counter())
+                if workdir is not None:
+                    flight.heartbeat_path = workdir / f"{job.id}.heartbeat"
+                    flight.heartbeat_path.unlink(missing_ok=True)
+                    flight.last_beat_wall = time.time()
+                    payload["heartbeat_path"] = str(flight.heartbeat_path)
+                    payload["heartbeat_interval_s"] = heartbeat_interval_s
+                busy[slot] = flight
                 try:
-                    beat = entry.heartbeat_path.stat().st_mtime
+                    worker.conn.send(payload)
                 except OSError:
-                    beat = entry.started_wall
-                if beat > entry.last_beat_wall:
-                    entry.last_beat_wall = beat
-                    if tracer.enabled:
-                        tracer.progress(
-                            "batch.heartbeat",
-                            job=job_id,
-                            key=entry.key,
-                            elapsed_s=time.perf_counter() - entry.started_perf,
-                        )
-                    if pool_tele is not None:
-                        pool_tele.live(job_id, entry.heartbeat_path)
-                # Channels 3 + 4: deadline and heartbeat staleness.
-                elapsed = time.perf_counter() - entry.started_perf
-                reason = None
-                if job_timeout_s is not None and elapsed > job_timeout_s:
-                    reason = f"deadline {job_timeout_s:g}s exceeded"
-                elif (
-                    heartbeat_timeout_s is not None
-                    and now_wall - entry.last_beat_wall > heartbeat_timeout_s
-                ):
-                    reason = (
-                        f"no heartbeat for {now_wall - entry.last_beat_wall:.2f}s "
-                        f"(threshold {heartbeat_timeout_s:g}s)"
+                    pass  # a dead worker is reported through its sentinel
+            pool_tele.occupancy(len(busy), len(heap))
+
+            timeout = None
+            if workdir is not None:
+                timeout = heartbeat_interval_s
+                if job_timeout_s is not None:
+                    oldest = min(f.started_perf for f in busy.values())
+                    timeout = min(
+                        timeout,
+                        max(0.0, oldest + job_timeout_s - time.perf_counter()),
                     )
-                if reason is None:
-                    continue
-                _kill(entry.process)
-                retire(entry)
-                del running[job_id]
-                if tracer.enabled:
-                    tracer.progress(
-                        "batch.job_timeout",
-                        job=job_id,
-                        key=entry.key,
-                        reason=reason,
-                        elapsed_s=elapsed,
-                    )
-                handle({
-                    "job_id": job_id,
-                    "ok": False,
-                    "error": f"timeout after {elapsed:.2f}s: {reason}",
-                    "compute_s": elapsed,
-                    "timeout": True,
-                })
-        if pool_tele is not None:
-            pool_tele.occupancy(0, 0)
+            handles = [
+                h for slot in busy
+                for h in (_POOL[slot].conn, _POOL[slot].process.sentinel)
+            ]
+            ready = set(wait(handles, timeout))
+            now_wall = time.time()
+            for slot in list(busy):
+                worker = _POOL[slot]
+                if worker.conn in ready or worker.process.sentinel in ready:
+                    flight = retire(slot)
+                    try:
+                        outcome = worker.conn.recv() if worker.conn.poll() else None
+                    except (EOFError, OSError):
+                        outcome = None
+                    if outcome is None:  # EOF or a dead sentinel: reap it
+                        _kill(worker.process)
+                        outcome = {
+                            "job_id": flight.job_id,
+                            "ok": False,
+                            "error": "worker process died without reporting "
+                            f"(exit code {worker.process.exitcode})",
+                            "compute_s": time.perf_counter() - flight.started_perf,
+                        }
+                    handle(outcome)
+                elif workdir is not None:
+                    supervise(slot, now_wall)
     finally:
-        # Never leak workers, whatever interrupted the drain.
-        for entry in running.values():
-            _kill(entry.process)
-            retire(entry)
+        # Never leak a busy worker, whatever interrupted the drain; the
+        # killed slots respawn on their next dispatch.
+        for slot in list(busy):
+            _kill(_POOL[slot].process)
+            retire(slot)

@@ -271,6 +271,20 @@ class TestThroughputCounters:
         # stateful scalar fallback): 2 traces x 24 events.
         assert counters.get("replay.vector_events", 0) == 2 * 24
 
+    def test_supervised_batches_reuse_warm_workers(self, tmp_path):
+        queue = JobStore(tmp_path / "q")
+        cache = ResultCache(tmp_path / "cache")
+        suite = WorkloadSuite(designs=1, traces_per_design=2, length=24,
+                              seed=13)
+        submit_replay_suite(queue, suite, POLICIES, batch_size=2)
+        tracer = RecordingTracer()
+        report = run_batch(queue, cache, workers=1, job_timeout_s=60,
+                           tracer=tracer)
+        assert report.failed == 0
+        # Both policies' jobs ran on the one supervised worker: the
+        # second reused the scheme the first one resolved.
+        assert tracer.counters.get("pool.warm_hits", 0) >= 1
+
     def test_counters_render_in_the_obs_report(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
-from repro.obs import RecordingTracer
+from repro.obs import NULL_TRACER, RecordingTracer
 from repro.service import (
     BatchReport,
     JobStore,
@@ -13,6 +16,7 @@ from repro.service import (
     job_problem_key,
     run_batch,
 )
+from repro.service import pool
 from repro.service.pool import execute_job_payload
 
 from ..conftest import make_design
@@ -155,6 +159,43 @@ class TestFailureIsolation:
         assert failed.state == "failed"
         assert failed.attempts == failed.max_attempts  # terminal, no retry loop
         assert "Traceback" in failed.error
+
+
+class TestWorkerDeath:
+    @pytest.fixture
+    def fresh_pool(self):
+        """Workers forked inside the test (so they see its patches), and
+        retired after it (so no other test inherits them)."""
+        pool._shutdown_pool()
+        yield
+        pool._shutdown_pool()
+
+    def test_dead_worker_fails_only_its_own_job(
+        self, queue, cache, monkeypatch, fresh_pool
+    ):
+        compute = pool._compute
+
+        def patched(problem, options, tracer=NULL_TRACER):
+            if problem.design.name == "victim":
+                os._exit(1)
+            if problem.design.name == "innocent":
+                time.sleep(1.0)  # still in flight when the victim dies
+            return compute(problem, options, tracer)
+
+        monkeypatch.setattr(pool, "_compute", patched)
+        victim = queue.submit_design(simple_design("victim"), device="LX30")
+        innocent = queue.submit_design(
+            simple_design("innocent", clb=44), device="LX30"
+        )
+        report = run_batch(queue, cache, workers=2)
+        assert report.failed_ids == (victim.id,)
+
+        done = queue.get(innocent.id)
+        assert done.state == "done"
+        assert done.attempts == 1  # the victim's death cost it nothing
+        dead = queue.get(victim.id)
+        assert dead.state == "failed"
+        assert "died without reporting" in dead.error
 
 
 class TestPoolPath:

@@ -1264,10 +1264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--batch-size", type=int, default=1, metavar="N",
-        help="traces per replay job (default 1: one job per trace, the "
-        "legacy layout; N>1 micro-batches each design's traces into "
-        "replay-batch jobs, amortising dispatch/scheme/store overhead "
-        "N x while keeping per-trace records byte-identical)",
+        help="traces per replay job (default 1: a batch of one per "
+        "trace; N>1 batches each design's traces N at a time, "
+        "amortising dispatch/scheme/store overhead N x while keeping "
+        "per-trace records byte-identical)",
     )
     p.add_argument(
         "--telemetry-dir", metavar="DIR",

@@ -60,12 +60,10 @@ from .policies import (
     resolve_policy,
 )
 from .service import (
-    replay_job_key,
     replay_probe_keys,
     replay_store_for,
     replay_summary,
     run_replay_batch_payload,
-    run_replay_payload,
     submit_replay_suite,
 )
 from .store import ReplayResultStore
@@ -101,7 +99,6 @@ __all__ = [
     "iter_trace",
     "render_policy_comparison",
     "replay_batch_key",
-    "replay_job_key",
     "replay_probe_keys",
     "replay_record",
     "replay_result_key",
@@ -111,7 +108,6 @@ __all__ = [
     "resolve_policy",
     "ring_matrix",
     "run_replay_batch_payload",
-    "run_replay_payload",
     "submit_replay_suite",
     "trace_key",
 ]

@@ -168,8 +168,8 @@ def replay_batch_key(
     A batch job is the ordered set of its member replays, so its key
     hashes (problem, ordered trace keys, policy, version); the members
     themselves stay individually addressed by
-    :func:`replay_result_key`, which is what lets batched and
-    single-trace sweeps share one record store.
+    :func:`replay_result_key`, which is what lets sweeps at any batch
+    size share one record store.
     """
     payload = json.dumps(
         {

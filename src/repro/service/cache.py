@@ -8,16 +8,15 @@ directory never collects millions of siblings.  The payload reuses the
 design as XML, the scheme/result via :func:`result_to_dict`, and
 :class:`~repro.eval.persistence.PersistenceError` on anything malformed.
 
-Writes are atomic (temp file + ``os.replace``) so a crashed or killed
-worker can never leave a truncated entry behind, and concurrent workers
-computing the same key simply race to an identical file.
+Writes are atomic (:func:`repro.util.atomic_write_text`) so a crashed
+or killed worker can never leave a truncated entry behind, and
+concurrent workers computing the same key simply race to an identical
+file.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -30,6 +29,7 @@ from ..eval.persistence import (
     result_to_dict,
 )
 from ..flow.xmlio import design_to_xml, parse_design
+from ..util.atomic import atomic_write_text
 
 #: Header of every cache entry; bumped on payload changes (old entries
 #: then fail ``get`` loudly and ``lookup`` treats them as misses).
@@ -203,19 +203,7 @@ class ResultCache:
         }
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, json.dumps(doc, indent=1))
         return path
 
     # ------------------------------------------------------------------
@@ -289,19 +277,7 @@ class ArtifactStore:
         """Store ``text`` under ``key`` atomically; returns the path."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, text)
         return path
 
     def stats(self) -> Mapping[str, int]:

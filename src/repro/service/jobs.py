@@ -36,12 +36,11 @@ from ..util.jsonl import JsonlError, replay_jsonl
 JOB_STATES = ("pending", "running", "done", "failed")
 
 #: The workload classes the batch service executes.  ``partition`` jobs
-#: run the paper's partitioning search; ``replay`` jobs additionally
-#: replay the resulting scheme against a synthesized traffic trace
-#: under a serving policy (:mod:`repro.replay`); ``replay-batch`` jobs
-#: carry N trace specs sharing one scheme/policy, so dispatch, scheme
-#: resolution and store IO amortise N x (the micro-batching fast path).
-JOB_KINDS = ("partition", "replay", "replay-batch")
+#: run the paper's partitioning search; ``replay-batch`` jobs
+#: additionally replay the resulting scheme against N >= 1 synthesized
+#: traffic traces under one serving policy (:mod:`repro.replay`), so
+#: dispatch, scheme resolution and store IO amortise N x.
+JOB_KINDS = ("partition", "replay-batch")
 
 #: Default cap on per-job execution attempts (1 initial + 1 retry).
 DEFAULT_MAX_ATTEMPTS = 2
@@ -94,16 +93,7 @@ class Job:
             raise JobStoreError(f"unknown job state {self.state!r}")
         if self.kind not in JOB_KINDS:
             raise JobStoreError(f"unknown job kind {self.kind!r}")
-        if self.kind == "replay":
-            if not isinstance(self.replay, Mapping) or not (
-                isinstance(self.replay.get("trace"), Mapping)
-                and isinstance(self.replay.get("policy"), Mapping)
-            ):
-                raise JobStoreError(
-                    "a replay job needs a replay spec with 'trace' and "
-                    "'policy' mappings"
-                )
-        elif self.kind == "replay-batch":
+        if self.kind == "replay-batch":
             traces = None
             if isinstance(self.replay, Mapping):
                 traces = self.replay.get("traces")

@@ -44,9 +44,7 @@ import atexit
 import heapq
 import json
 import multiprocessing
-import os
 import signal
-import tempfile
 import threading
 import time
 import traceback
@@ -68,6 +66,7 @@ from ..core.partitioner import (
 )
 from ..obs import NULL_TRACER, RecordingTracer, TelemetrySink, Tracer
 from ..obs.resources import job_resources, sample_self
+from ..util.atomic import atomic_write_text
 from .cache import ResultCache
 from .faults import FaultPlan, inject, spec_from_payload
 from .jobs import Job, JobStore
@@ -92,12 +91,12 @@ def job_problem_key(job: Job, library: DeviceLibrary | None = None) -> str:
     """The content-address of a job's problem, whatever its kind.
 
     ``partition`` jobs key on the partitioning problem alone
-    (:func:`partition_problem_key`); ``replay`` jobs fold the trace and
-    policy in on top (:func:`repro.replay.service.replay_job_key`), so
-    the same scheme replayed under a different workload or policy is a
-    distinct cache entry.
+    (:func:`partition_problem_key`); ``replay-batch`` jobs fold the
+    traces and policy in on top
+    (:func:`repro.replay.service.replay_probe_keys`), so the same scheme
+    replayed under a different workload or policy is a distinct entry.
     """
-    if job.kind in ("replay", "replay-batch"):
+    if job.kind == "replay-batch":
         from ..replay.service import replay_probe_keys
 
         return replay_probe_keys(job, library)[0]
@@ -197,7 +196,7 @@ class _Heartbeat:
         sampled = sample_self()
         if sampled is not None:
             doc.update(sampled.to_dict())
-        _write_json_atomic(self.path, doc)
+        atomic_write_text(self.path, json.dumps(doc))
 
     def start(self) -> "_Heartbeat":
         self._beat()
@@ -249,13 +248,7 @@ def execute_job_payload(payload: dict[str, Any]) -> dict[str, Any]:
     try:
         if payload.get("fault"):
             inject(spec_from_payload(payload["fault"]), heartbeat=heartbeat)
-        if payload.get("kind", "partition") == "replay":
-            from ..replay.service import run_replay_payload
-
-            outcome = run_replay_payload(
-                payload, started=started, tracer=worker_tracer or NULL_TRACER
-            )
-        elif payload.get("kind") == "replay-batch":
+        if payload.get("kind") == "replay-batch":
             from ..replay.service import run_replay_batch_payload
 
             outcome = run_replay_batch_payload(
@@ -305,21 +298,6 @@ def execute_job_payload(payload: dict[str, Any]) -> dict[str, Any]:
     finally:
         if heartbeat is not None:
             heartbeat.stop()
-
-
-def _write_json_atomic(path: Path, doc: dict[str, Any]) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}-",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass
@@ -561,14 +539,14 @@ def run_batch(
         # Replay jobs probe the replay record store (a sibling subtree
         # of the partition cache) instead of the cache itself -- in ONE
         # bulk ``probe_many`` over every member record key, so a fully
-        # cached N-trace sweep costs O(shards + segments) reads, not N
-        # file opens.  A replay/replay-batch job is a hit exactly when
+        # cached sweep costs one read per segment (one per job), not one
+        # per member record.  A replay-batch job is a hit exactly when
         # every one of its member records is stored.
         keyed: list[tuple[Job, str, list[str] | None]] = []
         replay_members: list[str] = []
         for job in store.pending():
             try:
-                if job.kind in ("replay", "replay-batch"):
+                if job.kind == "replay-batch":
                     from ..replay.service import replay_probe_keys
 
                     key, members = replay_probe_keys(job, library)

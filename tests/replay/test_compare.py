@@ -15,6 +15,7 @@ from repro.replay import (
     comparison_key,
     iter_trace,
     render_policy_comparison,
+    replay_record,
     replay_result_key,
     replay_trace,
 )
@@ -39,6 +40,7 @@ def filled_store(tmp_path, synthetic_scheme):
     """A store holding 2 traces x 2 policies of real replay records."""
     store = ReplayResultStore(tmp_path / "replay")
     names = config_names(synthetic_scheme.design)
+    records = {}
     for seed in (1, 2):
         spec = TraceSpec(environment="bursty", length=200, seed=seed,
                          dwell=0.9)
@@ -48,7 +50,8 @@ def filled_store(tmp_path, synthetic_scheme):
                 problem_key="p" * 64, trace_key=trace_key(names, spec),
             )
             key = replay_result_key("p" * 64, trace_key(names, spec), policy)
-            store.put_result(key, result)
+            records[key] = replay_record(result)
+    store.put_many(records)
     return store
 
 

@@ -191,7 +191,11 @@ class TestAdoptTraceProperties:
         # Re-rooting computes (start + offset) - start; for micro-second
         # spans under a large start the cancellation error exceeds
         # approx's relative default, so compare with an absolute floor.
-        assert got == pytest.approx(want, abs=1e-9)
+        # approx does not recurse into the (offset, duration) tuples, so
+        # flatten both sides to floats for the tolerance to apply.
+        assert [x for pair in got for x in pair] == pytest.approx(
+            [x for pair in want for x in pair], abs=1e-9
+        )
         assert job_span.start_s == start
 
     def test_adoption_merges_counters_into_totals(self):

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.util import argsort_by, require, require_positive, stable_unique
+from repro.util import (
+    argsort_by,
+    atomic_write_text,
+    require,
+    require_positive,
+    stable_unique,
+)
 
 
 class TestOrdering:
@@ -40,3 +46,21 @@ class TestValidation:
             require_positive(0, "x")
         with pytest.raises(ValueError):
             require_positive(-1.5, "y")
+
+
+class TestAtomicWrite:
+    def test_failed_replace_keeps_old_file_and_removes_temp(
+            self, tmp_path, monkeypatch):
+        import os
+
+        path = tmp_path / "entry.json"
+        atomic_write_text(path, "old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_text(path, "new")
+        assert path.read_text(encoding="utf-8") == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]

@@ -16,11 +16,11 @@ Subcommands mirror the deliverables:
 * ``replay run|sweep|compare`` -- trace-driven workload replay:
   measured reconfiguration latency under load, per serving policy
   (docs/REPLAY.md);
-* ``obs report|tail|top|runs|check|export-prom|bench-diff`` -- the
-  telemetry toolchain over durable sink directories, the live
-  follower/fleet view, the run registry, the declarative SLO gate and
-  BENCH artifacts (docs/OBSERVABILITY.md);
-* ``render scheme|floorplan|report|bench`` -- the deterministic
+* ``obs report|tail|top|runs|check|export-prom`` -- the telemetry
+  toolchain over durable sink directories, the live follower/fleet
+  view, the run registry and the declarative SLO gate
+  (docs/OBSERVABILITY.md);
+* ``render scheme|floorplan|report`` -- the deterministic
   SVG/HTML rendering layer over the same inputs, with ``--check``
   drift detection and a content-addressed artifact cache
   (docs/REPORTING.md).
@@ -777,20 +777,6 @@ def _cmd_obs_export_prom(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_bench_diff(args: argparse.Namespace) -> int:
-    from .obs import BenchDiffError, bench_diff, load_bench, render_bench_diff
-
-    try:
-        diff = bench_diff(
-            load_bench(args.old), load_bench(args.new), threshold=args.threshold
-        )
-    except BenchDiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(render_bench_diff(diff))
-    return 3 if diff.regressions else 0
-
-
 #: Builtin design names `repro render scheme|floorplan` accept in place
 #: of an XML path -- the paper's two worked problems, so the gallery and
 #: the golden tests need no design files checked in.
@@ -846,7 +832,7 @@ def _finish_render(args: argparse.Namespace, text: str) -> int:
     """Write or check a rendered artifact against --out.
 
     ``--check`` never writes: it byte-compares a fresh render against
-    the file and exits 3 on drift (mirroring ``obs bench-diff``), which
+    the file and exits 3 on drift (mirroring ``obs check``), which
     is how CI keeps committed goldens and the README gallery honest.
     """
     from pathlib import Path
@@ -952,30 +938,6 @@ def _cmd_render_report(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return _finish_render(args, render_report_html(report))
-
-
-def _cmd_render_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .obs import BenchDiffError, load_bench
-    from .render import render_bench_trend_html
-
-    paths: list[Path] = []
-    for raw in args.artifacts:
-        p = Path(raw)
-        if p.is_dir():
-            paths.extend(sorted(p.glob("BENCH_*.json")))
-        else:
-            paths.append(p)
-    history = []
-    try:
-        for p in paths:
-            history.append((p.name, load_bench(p)))
-    except BenchDiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = render_bench_trend_html(history, threshold=args.threshold)
-    return _finish_render(args, text)
 
 
 def _cmd_batch_status(args: argparse.Namespace) -> int:
@@ -1393,19 +1355,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "instead of stdout")
     p.set_defaults(func=_cmd_obs_export_prom)
 
-    p = obs_sub.add_parser(
-        "bench-diff",
-        help="compare two BENCH_*.json artifacts for perf regressions",
-    )
-    p.add_argument("old", help="baseline BENCH_*.json (e.g. committed)")
-    p.add_argument("new", help="candidate BENCH_*.json (e.g. fresh run)")
-    p.add_argument(
-        "--threshold", type=float, default=0.25, metavar="FRAC",
-        help="relative regression threshold (default 0.25 = 25%%); "
-        "exit code 3 when any benchmark regresses past it",
-    )
-    p.set_defaults(func=_cmd_obs_bench_diff)
-
     render = sub.add_parser(
         "render",
         help="deterministic SVG/HTML rendering layer (docs/REPORTING.md)",
@@ -1466,22 +1415,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="telemetry sink directory (from --telemetry-dir)")
     _add_render_out_flags(p)
     p.set_defaults(func=_cmd_render_report)
-
-    p = render_sub.add_parser(
-        "bench", help="benchmark trend page (HTML) over BENCH_*.json files"
-    )
-    p.add_argument(
-        "artifacts", nargs="+", metavar="PATH",
-        help="BENCH_*.json files in order, or a directory to scan "
-        "(sorted by file name)",
-    )
-    p.add_argument(
-        "--threshold", type=float, default=0.25, metavar="FRAC",
-        help="relative change flagged as regression/improvement "
-        "(default 0.25 = 25%%, matching obs bench-diff)",
-    )
-    _add_render_out_flags(p)
-    p.set_defaults(func=_cmd_render_bench)
 
     return parser
 

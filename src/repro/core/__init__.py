@@ -6,7 +6,6 @@ Pipeline: design model -> connectivity matrix -> agglomerative clustering
 """
 
 from .allocation import AllocationOptions, groups_to_scheme, search_candidate_set
-from .annealing import AnnealingOptions, anneal_candidate_set, partition_annealing
 from .baselines import (
     baseline_schemes,
     one_module_per_region_scheme,
@@ -62,7 +61,6 @@ from .result import PartitioningScheme, Region, SchemeError, merge_regions, regi
 __all__ = [
     "AgglomerationEvent",
     "AllocationOptions",
-    "AnnealingOptions",
     "BasePartition",
     "CandidatePartitionSet",
     "CompatibilityIndex",
@@ -86,7 +84,6 @@ __all__ = [
     "SchemeError",
     "TransitionPolicy",
     "agglomerate",
-    "anneal_candidate_set",
     "are_compatible",
     "baseline_schemes",
     "best_by_worst_case",
@@ -105,7 +102,6 @@ __all__ = [
     "one_module_per_region_scheme",
     "pareto_front",
     "partition",
-    "partition_annealing",
     "partition_exact",
     "partition_with_device_selection",
     "partitions_by_label",

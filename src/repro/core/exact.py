@@ -8,7 +8,6 @@ running lower bound).  Exponential in the partition count -- practical
 up to roughly a dozen base partitions -- so it is used for:
 
 * tests that certify the heuristic finds the optimum on small designs;
-* the search-quality ablation bench (heuristic-vs-optimal gap);
 * one-off optimal runs on small real designs.
 
 The enumeration walks items in order, assigning each to an existing

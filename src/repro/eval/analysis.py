@@ -155,7 +155,7 @@ def worst_case_trade(sweep: SweepResult) -> dict[str, float]:
 
 
 def render_analysis(sweep: SweepResult) -> str:
-    """Full analysis block (benches and the CLI use this)."""
+    """Full analysis block (``repro-pr sweep --analysis`` prints this)."""
     parts = [render_class_breakdown(sweep)]
     corr = correlation_with_structure(sweep)
     if corr:

@@ -5,8 +5,8 @@ data; each ``render_*`` turns it into terminal output.  The synthetic
 sweep behind Figs. 7-9 is shared (:func:`run_sweep`) and deterministic
 per (count, seed).
 
-The paper used 1000 designs; the benchmark default is smaller so the
-suite stays fast -- set ``REPRO_SWEEP_DESIGNS=1000`` (or pass ``count``)
+The paper used 1000 designs; the default population is smaller so a
+run stays fast -- set ``REPRO_SWEEP_DESIGNS=1000`` (or pass ``count``)
 for the full-population run.  EXPERIMENTS.md records both.
 """
 
@@ -50,10 +50,10 @@ from .casestudy import (
 from .example_design import example_design
 from .stats import FIG9_BIN_EDGES, ImprovementProfile, improvement_profile
 
-#: Default synthetic population size for benches (paper: 1000).
+#: Default synthetic population size of ``repro-pr sweep`` (paper: 1000).
 DEFAULT_SWEEP_DESIGNS = int(os.environ.get("REPRO_SWEEP_DESIGNS", "200"))
 
-#: Seed fixed so every bench run regenerates identical populations.
+#: Seed fixed so every sweep run regenerates identical populations.
 DEFAULT_SWEEP_SEED = 2013
 
 

@@ -1,7 +1,7 @@
-"""ASCII rendering shared by benchmarks, examples and the CLI.
+"""ASCII rendering shared by examples and the CLI.
 
 Everything the paper presents is a table or an x/y series; these helpers
-render both without any plotting dependency, so benchmark output can be
+render both without any plotting dependency, so regenerated output can be
 eyeballed against the paper directly in a terminal or a log file.
 """
 
@@ -115,7 +115,7 @@ def render_trace_summary(trace: object, title: str | None = None) -> str:
 
     Accepts a :class:`repro.obs.Trace`, a :class:`repro.obs.RecordingTracer`,
     a trace dict, or JSON text (the ``--trace-json`` file format), so
-    benchmark logs and saved traces render through one entry point.
+    live tracers and saved traces render through one entry point.
     """
     from ..obs import RecordingTracer, Trace, trace_from_dict, trace_from_json
     from ..obs.render import render_trace_summary as _render

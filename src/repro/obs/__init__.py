@@ -29,16 +29,10 @@ from .registry import (
 )
 from .render import render_trace_summary, stage_summary_rows
 from .report import (
-    BenchDiff,
-    BenchDiffError,
     ReplayPolicyStats,
     RunReport,
     aggregate_run,
-    bench_diff,
-    bench_timings,
     export_prometheus_dir,
-    load_bench,
-    render_bench_diff,
     render_run_report,
 )
 from .resources import (
@@ -83,8 +77,6 @@ from .tracer import (
 )
 
 __all__ = [
-    "BenchDiff",
-    "BenchDiffError",
     "DEFAULT_BOUNDS",
     "FleetView",
     "FollowCursor",
@@ -120,8 +112,6 @@ __all__ = [
     "WorkerResources",
     "WorkerView",
     "aggregate_run",
-    "bench_diff",
-    "bench_timings",
     "config_digest",
     "evaluate_slo",
     "export_prometheus_dir",
@@ -129,13 +119,11 @@ __all__ = [
     "follow_records",
     "iter_telemetry",
     "job_resources",
-    "load_bench",
     "load_slo",
     "load_telemetry",
     "merge_histogram_maps",
     "parse_prometheus",
     "prometheus_text",
-    "render_bench_diff",
     "render_run_report",
     "render_slo_result",
     "render_top",

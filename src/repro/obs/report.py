@@ -1,21 +1,16 @@
-"""Aggregation toolchain over telemetry directories and BENCH files.
+"""Aggregation toolchain over telemetry directories.
 
-Three consumers of the durable telemetry the sink writes:
+Consumers of the durable telemetry the sink writes:
 
 * :func:`aggregate_run` folds a telemetry directory into a
   :class:`RunReport` -- job-latency percentiles, cache hit rate,
   timeout/retry counts, merged counters/gauges/histograms across every
   ``run`` record (multi-run directories sum associatively);
-* :func:`render_run_report` renders it for ``repro obs report``;
-* :func:`bench_diff` compares two committed ``BENCH_*.json`` artifacts
-  (benchmarks/conftest.py writes them) against a configurable
-  regression threshold for ``repro obs bench-diff`` -- the CI smoke
-  that notices a slowdown before a human does.
+* :func:`render_run_report` renders it for ``repro obs report``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -23,10 +18,6 @@ from typing import Any, Mapping
 from .metrics import Histogram, merge_histogram_maps
 from .resources import WorkerResources, fold_resource_records
 from .sink import _segments, iter_telemetry, sink_stats
-
-#: Default relative regression threshold of ``bench_diff`` (25% -- wide
-#: enough for shared-runner noise, tight enough to catch real cliffs).
-DEFAULT_BENCH_THRESHOLD = 0.25
 
 
 def _percentile(ordered: list[float], pct: float) -> float | None:
@@ -429,133 +420,6 @@ def render_run_report(report: RunReport) -> str:
 
 def _fmt_opt(value: float | None) -> str:
     return "-" if value is None else f"{value:.4g}"
-
-
-# ----------------------------------------------------------------------
-# BENCH_*.json comparison
-# ----------------------------------------------------------------------
-
-class BenchDiffError(ValueError):
-    """Raised for unreadable or structurally invalid BENCH documents."""
-
-
-@dataclass(frozen=True)
-class BenchDelta:
-    """One benchmark compared across two BENCH documents."""
-
-    name: str
-    old: float
-    new: float
-
-    @property
-    def ratio(self) -> float:
-        return self.new / self.old if self.old > 0 else float("inf")
-
-    @property
-    def delta_pct(self) -> float:
-        return 100.0 * (self.ratio - 1.0)
-
-
-@dataclass
-class BenchDiff:
-    """The comparison of two BENCH documents at a threshold."""
-
-    threshold: float
-    deltas: list[BenchDelta] = field(default_factory=list)
-    only_old: list[str] = field(default_factory=list)
-    only_new: list[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[BenchDelta]:
-        return [d for d in self.deltas if d.ratio > 1.0 + self.threshold]
-
-    @property
-    def improvements(self) -> list[BenchDelta]:
-        return [d for d in self.deltas if d.ratio < 1.0 - self.threshold]
-
-
-def load_bench(path: str | Path) -> dict[str, Any]:
-    """Load and structurally validate one ``BENCH_*.json`` document."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BenchDiffError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, Mapping) or "suite" not in doc:
-        raise BenchDiffError(f"{path}: not a BENCH document (no 'suite')")
-    return dict(doc)
-
-
-def bench_timings(doc: Mapping[str, Any]) -> dict[str, float]:
-    """name -> representative seconds (mean, falling back to min).
-
-    Shared by :func:`bench_diff` and the bench-trend renderer
-    (:func:`repro.render.render_bench_trend_html`), so both agree on
-    what "the" time of a benchmark is.
-    """
-    out: dict[str, float] = {}
-    for bench in doc.get("benchmarks") or []:
-        if not isinstance(bench, Mapping) or "name" not in bench:
-            continue
-        value = bench.get("mean", bench.get("min"))
-        if isinstance(value, (int, float)) and value > 0:
-            out[str(bench["name"])] = float(value)
-    return out
-
-
-def bench_diff(
-    old: Mapping[str, Any],
-    new: Mapping[str, Any],
-    threshold: float = DEFAULT_BENCH_THRESHOLD,
-) -> BenchDiff:
-    """Compare two BENCH documents; flag timings past the threshold.
-
-    ``threshold`` is relative: 0.25 flags any benchmark whose
-    representative time grew (regression) or shrank (improvement) by
-    more than 25%.  Benchmarks present on only one side are listed but
-    never flagged -- suite membership changes are not slowdowns.
-    """
-    if threshold < 0:
-        raise BenchDiffError("threshold must be non-negative")
-    old_timings = bench_timings(old)
-    new_timings = bench_timings(new)
-    diff = BenchDiff(threshold=threshold)
-    for name in sorted(old_timings.keys() & new_timings.keys()):
-        diff.deltas.append(
-            BenchDelta(name=name, old=old_timings[name], new=new_timings[name])
-        )
-    diff.only_old = sorted(old_timings.keys() - new_timings.keys())
-    diff.only_new = sorted(new_timings.keys() - old_timings.keys())
-    return diff
-
-
-def render_bench_diff(diff: BenchDiff) -> str:
-    """Comparison table plus a one-line verdict."""
-    lines = []
-    if diff.deltas:
-        width = max(len(d.name) for d in diff.deltas)
-        for d in diff.deltas:
-            flag = ""
-            if d.ratio > 1.0 + diff.threshold:
-                flag = "  REGRESSION"
-            elif d.ratio < 1.0 - diff.threshold:
-                flag = "  improved"
-            lines.append(
-                f"  {d.name.ljust(width)} : {d.old:.6g} s -> {d.new:.6g} s "
-                f"({d.delta_pct:+.1f}%){flag}"
-            )
-    for name in diff.only_old:
-        lines.append(f"  {name} : removed")
-    for name in diff.only_new:
-        lines.append(f"  {name} : new")
-    if not lines:
-        lines.append("  (no comparable benchmarks)")
-    verdict = (
-        f"{len(diff.regressions)} regression(s) past "
-        f"{100.0 * diff.threshold:.0f}% of {len(diff.deltas)} compared"
-    )
-    return "\n".join([f"bench-diff (threshold {100.0 * diff.threshold:.0f}%):",
-                      *lines, verdict])
 
 
 def export_prometheus_dir(directory: str | Path, prefix: str | None = None) -> str:

@@ -17,8 +17,8 @@ A committed TOML file states what a healthy run looks like::
 
 ``repro obs check DIR --slo FILE`` aggregates the telemetry directory,
 evaluates every rule against ``RunReport.to_dict()``, and exits 3 on
-any breach -- the same exit-code convention as ``obs bench-diff`` and
-``render --check``, so CI wires it in as one blocking step.
+any breach -- the same exit-code convention as ``render --check``, so
+CI wires it in as one blocking step.
 
 Metric selectors resolve in this order:
 

@@ -24,14 +24,12 @@ The renderers, all exposed on ``repro render``:
   rectangles, fragmentation overlay (largest free rectangle);
 * :func:`render_report_html` -- the run dashboard over an aggregated
   telemetry directory (``repro.obs.RunReport``);
-* :func:`render_bench_trend_html` -- the perf-trend page over an
-  ordered ``BENCH_*.json`` history;
 * :func:`render_replay_html` -- the replay latency dashboard over a
   per-policy comparison (:func:`repro.replay.collect_policy_comparison`).
 
 Plus the ASCII floorplan (:func:`render_floorplan`).
 
-Loading inputs (XML designs, telemetry directories, BENCH files) and
+Loading inputs (XML designs, telemetry directories) and
 writing artifacts is the *caller's* job -- see ``repro.cli``.
 """
 
@@ -40,7 +38,6 @@ from __future__ import annotations
 import hashlib
 
 from .ascii import occupancy, render_floorplan
-from .bench import render_bench_trend_html
 from .dashboard import render_report_html
 from .floorplan import (
     fragmentation_stats,
@@ -55,7 +52,7 @@ from .scheme import render_scheme_svg
 RENDERER_VERSION = 1
 
 #: The renderer names accepted by ``repro render`` / :func:`artifact_key`.
-RENDERERS = ("scheme", "floorplan", "report", "bench", "replay")
+RENDERERS = ("scheme", "floorplan", "report", "replay")
 
 
 def renderer_meta(renderer: str) -> str:
@@ -84,7 +81,6 @@ __all__ = [
     "fragmentation_stats",
     "largest_free_rectangle",
     "occupancy",
-    "render_bench_trend_html",
     "render_floorplan",
     "render_floorplan_svg",
     "render_replay_html",

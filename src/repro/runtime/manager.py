@@ -169,5 +169,5 @@ def compare_schemes_on_trace(
     trace: Sequence[str],
     icap: IcapModel = CUSTOM_DMA_CONTROLLER,
 ) -> dict[str, RuntimeStats]:
-    """Replay the same trace over several schemes (examples/benches)."""
+    """Replay the same trace over several schemes."""
     return {s.strategy: replay(s, trace, icap) for s in schemes}

@@ -45,6 +45,8 @@ class TestTable1:
             )
         }
         assert "{A1, B2, C1}" in labels
+        default = {bp.label for bp in enumerate_base_partitions(paper_example)}
+        assert labels > default
 
     def test_full_configurations_present_with_weight_1(self, paper_example):
         by_label = partitions_by_label(enumerate_base_partitions(paper_example))

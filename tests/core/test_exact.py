@@ -70,8 +70,9 @@ class TestHeuristicOptimality:
         heuristic = partition(tiny_design, budget)
         assert heuristic.total_frames == total_reconfiguration_frames(exact)
 
-    def test_paper_example_matches_exact(self, paper_example):
-        budget = ResourceVector(520, 16, 16)
+    @pytest.mark.parametrize("clb_budget", [420, 480, 520, 560, 620])
+    def test_paper_example_matches_exact(self, paper_example, clb_budget):
+        budget = ResourceVector(clb_budget, 16, 16)
         exact = partition_exact(paper_example, budget)
         heuristic = partition(paper_example, budget)
         assert heuristic.total_frames == total_reconfiguration_frames(exact)

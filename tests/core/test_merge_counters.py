@@ -11,7 +11,8 @@ The differential half runs the reference and incremental engines on
 perfbench pool designs with 12 or more base partitions per candidate
 set -- large enough that the base-pair stream, its mode flip and the
 pending-materialisation set all see real traffic, unlike the small
-designs of ``test_engine_differential.py``.
+designs of ``test_engine_differential.py`` -- and on two seeded
+small-band designs searched over every candidate set.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.arch.resources import ResourceVector
+from repro.arch.tiles import quantised_footprint
 from repro.core.allocation import (
     AllocationOptions,
     _MergeCache,
@@ -157,16 +160,47 @@ class TestGoldenCounters:
 #: searches each in about a second.
 POOL_INDICES = (1, 12, 31)
 
+#: Seeded designs of the ``small`` generator band (at most 4 modules of
+#: 3 modes), budgeted at 1.4x the quantised footprint of all their
+#: modes.  Their 28-30 candidate sets hold 5-10 base partitions each,
+#: so every set is searched and no size floor applies.
+SMALL_SEEDS = (7000, 7001)
+SMALL_KEYS = tuple(f"small{seed}" for seed in SMALL_SEEDS)
+
+
+def footprint_capacity(design, scale=1.4):
+    total = ResourceVector.sum(m.resources for m in design.all_modes)
+    q = quantised_footprint(total)
+    return ResourceVector(
+        clb=int(q.clb * scale) + 20,
+        bram=int(q.bram * scale) + 4,
+        dsp=int(q.dsp * scale) + 8,
+    )
+
 
 @pytest.fixture(scope="module")
 def pool():
+    """key -> (design, capacity, min partitions per set, max sets)."""
     last = max(POOL_INDICES)
     designs = itertools.islice(generate_population(240, seed=2013), last + 1)
-    return {i: d for i, (_cls, d) in enumerate(designs) if i in POOL_INDICES}
+    out = {
+        i: (d, budget_for(d), 12, 4)
+        for i, (_cls, d) in enumerate(designs)
+        if i in POOL_INDICES
+    }
+    for k, (key, seed) in enumerate(zip(SMALL_KEYS, SMALL_SEEDS)):
+        design = generate_design(
+            np.random.default_rng(seed),
+            CIRCUIT_CLASSES[k % len(CIRCUIT_CLASSES)],
+            key,
+            GeneratorConfig(max_modules=4, max_modes=3),
+        )
+        out[key] = (design, footprint_capacity(design), 0, None)
+    return out
 
 
 def search_fingerprint(design, capacity, engine, policy, weights=None,
-                       alloc_kwargs=None):
+                       alloc_kwargs=None, min_partitions=12, max_sets=4):
     """Results, engine-independent counters and the cache key set of
     every candidate set searched through one shared cache."""
     opts = AllocationOptions(
@@ -177,8 +211,8 @@ def search_fingerprint(design, capacity, engine, policy, weights=None,
     cm = ConnectivityMatrix.from_design(design)
     bps = enumerate_base_partitions(design, cm)
     out = []
-    for cps in candidate_partition_sets(bps, cm, max_sets=4):
-        assert len(cps.partitions) >= 12
+    for cps in candidate_partition_sets(bps, cm, max_sets=max_sets):
+        assert len(cps.partitions) >= min_partitions
         tracer = RecordingTracer()
         res = search_candidate_set(design, cps, capacity, opts, cache, tracer)
         groups = None
@@ -204,7 +238,7 @@ def search_fingerprint(design, capacity, engine, policy, weights=None,
 
 
 class TestPoolDifferential:
-    @pytest.mark.parametrize("index", POOL_INDICES)
+    @pytest.mark.parametrize("index", POOL_INDICES + SMALL_KEYS)
     @pytest.mark.parametrize(
         "caps", [None, {"max_initial_pairs": 6}], ids=["all-pairs", "capped"]
     )
@@ -214,13 +248,14 @@ class TestPoolDifferential:
         ids=["lenient", "strict-weighted"],
     )
     def test_engines_agree(self, pool, index, caps, policy, weighted):
-        design = pool[index]
-        capacity = budget_for(design)
+        design, capacity, min_partitions, max_sets = pool[index]
         weights = weight_matrix(design) if weighted else None
         ref = search_fingerprint(
-            design, capacity, "reference", policy, weights, caps
+            design, capacity, "reference", policy, weights, caps,
+            min_partitions, max_sets,
         )
         inc = search_fingerprint(
-            design, capacity, "incremental", policy, weights, caps
+            design, capacity, "incremental", policy, weights, caps,
+            min_partitions, max_sets,
         )
         assert ref == inc

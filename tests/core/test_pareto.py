@@ -89,7 +89,7 @@ class TestRendering:
         front = pareto_front(
             receiver, budget, max_candidate_sets=2, max_points=5
         )
-        assert len(front) <= 5
+        assert 1 <= len(front) <= 5
 
 
 class TestBestByWorstCase:

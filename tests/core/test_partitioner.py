@@ -161,6 +161,26 @@ class TestCaseStudyShape:
             static_modes |= set(region.mode_names)
         assert "M1" in static_modes
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            lambda cap: PartitionerOptions(
+                allocation=AllocationOptions(max_initial_pairs=cap)
+            ),
+            lambda cap: PartitionerOptions(max_candidate_sets=cap),
+        ],
+        ids=["restart-breadth", "covering-depth"],
+    )
+    def test_more_search_never_hurts(self, receiver, budget, options):
+        # Capping restarts (Fig. 6) or the outer covering loop
+        # (Sec. IV-D) trades quality for speed; widening either cap
+        # never worsens the result, up to the paper's uncapped search.
+        totals = [
+            partition(receiver, budget, options(cap)).total_frames
+            for cap in (1, 4, 16, None)
+        ]
+        assert totals == sorted(totals, reverse=True)
+
     def test_video_modes_share_a_region(self, receiver, budget):
         # Table III PRR5: V1, V2, V3 always end up together (they are the
         # dominant area and mutually exclusive).

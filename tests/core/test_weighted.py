@@ -9,8 +9,9 @@ from repro.arch.resources import ResourceVector
 from repro.core.cost import weighted_total_frames
 from repro.core.partitioner import PartitionerOptions, partition
 from repro.eval.casestudy import CASESTUDY_BUDGET, casestudy_design
-from repro.runtime.adaptive import uniform_markov
+from repro.runtime.adaptive import MarkovEnvironment, uniform_markov
 from repro.runtime.manager import replay
+from repro.runtime.profile import estimate_markov, pair_frequencies
 
 from ..conftest import make_design
 
@@ -122,19 +123,36 @@ class TestWeightedSearch:
         ) + 1e-9
 
 
+def uniform_chain(design):
+    """Uniform chain, weighted by its exact pair probabilities."""
+    env = uniform_markov(design)
+    return env.pair_probabilities(), env.trace(3000, seed=5)
+
+
+def sticky_chain(design):
+    """Two-regime chain estimated from a trace that mostly cycles
+    Conf.1-3, weighted by the pair frequencies of its own trace."""
+    names = [c.name for c in design.configurations]
+    observed = ["Conf.1", "Conf.2", "Conf.3"] * 60 + names
+    env = MarkovEnvironment(design, estimate_markov(design, observed))
+    trace = env.trace(3000, seed=1)
+    return pair_frequencies(trace), trace
+
+
 class TestWeightedVsTrace:
-    def test_weighted_scheme_wins_on_matching_trace(self, design):
+    @pytest.mark.parametrize(
+        "chain", [uniform_chain, sticky_chain], ids=["uniform", "sticky"]
+    )
+    def test_weighted_scheme_wins_on_matching_trace(self, design, chain):
         """Optimising for the chain's statistics must not lose on the
         chain's own traces (vs the unweighted optimum)."""
-        env = uniform_markov(design)
-        probs = env.pair_probabilities()
+        probs, trace = chain(design)
         weighted_scheme = partition(
             design,
             CASESTUDY_BUDGET,
             PartitionerOptions(pair_probabilities=probs),
         ).scheme
         unweighted_scheme = partition(design, CASESTUDY_BUDGET).scheme
-        trace = env.trace(3000, seed=5)
         w = replay(weighted_scheme, trace).total_frames
         u = replay(unweighted_scheme, trace).total_frames
         assert w <= u * 1.05  # within noise; usually equal or better

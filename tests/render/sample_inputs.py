@@ -1,8 +1,8 @@
 """Synthetic renderer inputs shared by the render tests and goldens.
 
 Pure in-memory builders (fixed numbers, no clock, no filesystem) so the
-dashboard/bench golden files regenerate to identical bytes on any
-machine: ``REPRO_UPDATE_GOLDENS=1 pytest tests/render`` rewrites them.
+dashboard golden file regenerates to identical bytes on any machine:
+``REPRO_UPDATE_GOLDENS=1 pytest tests/render`` rewrites it.
 """
 
 from __future__ import annotations
@@ -29,26 +29,3 @@ def sample_report() -> RunReport:
         hist.observe(value)
     report.histograms = {"service.job_wall_s": hist}
     return report
-
-
-def sample_history() -> list[tuple[str, dict]]:
-    """Three BENCH documents: one regression, one improvement, one flat."""
-
-    def doc(partition_s: float, floorplan_s: float, sweep_s: float) -> dict:
-        return {
-            "suite": "core",
-            "python": "3.x",
-            "machine": "ci",
-            "benchmarks": [
-                {"name": "partition", "mean": partition_s},
-                {"name": "floorplan", "mean": floorplan_s},
-                {"name": "sweep", "mean": sweep_s},
-            ],
-            "records": {"frames": 3330},
-        }
-
-    return [
-        ("BENCH_2026-01.json", doc(0.50, 0.20, 2.00)),
-        ("BENCH_2026-02.json", doc(0.48, 0.21, 2.05)),
-        ("BENCH_2026-03.json", doc(0.80, 0.12, 1.98)),
-    ]

@@ -2,29 +2,10 @@
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
 from repro.cli import main
 from repro.service import ArtifactStore
 
 from .conftest import parse_markup
-
-
-@pytest.fixture
-def bench_dir(tmp_path):
-    for stamp, mean in (("01", 0.5), ("02", 0.9)):
-        (tmp_path / f"BENCH_{stamp}.json").write_text(
-            json.dumps(
-                {
-                    "suite": "core",
-                    "benchmarks": [{"name": "partition", "mean": mean}],
-                }
-            ),
-            encoding="utf-8",
-        )
-    return tmp_path
 
 
 class TestRenderScheme:
@@ -130,30 +111,4 @@ class TestRenderReport:
         assert main(
             ["render", "report", str(tmp_path / "nope"), "--out", "-"]
         ) == 1
-        assert "error:" in capsys.readouterr().err
-
-
-class TestRenderBench:
-    def test_directory_scan_equals_explicit_files(self, bench_dir, tmp_path):
-        out1, out2 = tmp_path / "a.html", tmp_path / "b.html"
-        assert main(
-            ["render", "bench", str(bench_dir), "--out", str(out1)]
-        ) == 0
-        files = sorted(str(p) for p in bench_dir.glob("BENCH_*.json"))
-        assert main(["render", "bench", *files, "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        assert "REGRESSION" in out1.read_text(encoding="utf-8")
-
-    def test_threshold_flag(self, bench_dir, tmp_path):
-        out = tmp_path / "t.html"
-        assert main(
-            ["render", "bench", str(bench_dir), "--threshold", "2.0",
-             "--out", str(out)]
-        ) == 0
-        assert "REGRESSION" not in out.read_text(encoding="utf-8")
-
-    def test_malformed_bench_file_errors(self, tmp_path, capsys):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text("{}", encoding="utf-8")
-        assert main(["render", "bench", str(bad), "--out", "-"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """The determinism contract: goldens, cache keys, renderer identity.
 
 Golden files pin the exact bytes of every renderer on fixed inputs: the
-Sec. IV example (scheme + floorplan) and the synthetic report/history of
+Sec. IV example (scheme + floorplan) and the synthetic report of
 ``sample_inputs``.  A legitimate output change must bump
 ``RENDERER_VERSION`` and regenerate the goldens with
 ``REPRO_UPDATE_GOLDENS=1 pytest tests/render``.
@@ -19,14 +19,13 @@ from repro.core import problem_key
 from repro.render import (
     RENDERERS,
     artifact_key,
-    render_bench_trend_html,
     render_floorplan_svg,
     render_report_html,
     render_scheme_svg,
     renderer_meta,
 )
 
-from .sample_inputs import sample_history, sample_report
+from .sample_inputs import sample_report
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -58,11 +57,6 @@ class TestGoldens:
 
     def test_report_golden(self):
         check_golden("report_sample.html", render_report_html(sample_report()))
-
-    def test_bench_golden(self):
-        check_golden(
-            "bench_sample.html", render_bench_trend_html(sample_history())
-        )
 
 
 class TestArtifactKeys:

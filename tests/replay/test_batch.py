@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import pytest
 
@@ -106,6 +108,57 @@ class TestBatchedSweepEquivalence:
         report = run_batch(queue2, cache, workers=1)
         assert report.failed == 0
         assert len(replay_store_for(cache)) == 2 * 2 * 2
+
+
+class TestFleetSweep:
+    """A fleet resubmission is served from the replay store.
+
+    Three policies over 2 synthetic designs x 3 traces, one batch per
+    design and policy.  The second submission of the same suite serves
+    every feasible cell in phase 1 of the batch runner; only designs the
+    device library cannot fit re-enter a worker, and they fail
+    identically on both runs.
+    """
+
+    POLICIES = ("no-prefetch", "prefetch-oracle", "evict-lru")
+    SUITE = dict(designs=2, traces_per_design=3, length=64, seed=2013)
+    BATCH = 3
+
+    def _submit(self, tmp_path, tag):
+        queue = JobStore(tmp_path / f"fleet-{tag}")
+        jobs = submit_replay_suite(
+            queue, WorkloadSuite(**self.SUITE), self.POLICIES,
+            max_candidate_sets=3, max_attempts=1, batch_size=self.BATCH,
+        )
+        return queue, jobs
+
+    def test_cold_then_cached(self, tmp_path):
+        workers = os.cpu_count() or 1
+        cache = ResultCache(tmp_path / "cache")
+
+        cold_queue, jobs = self._submit(tmp_path, "cold")
+        cells = {job.id: len(job.replay["traces"]) for job in jobs}
+        assert sum(cells.values()) == 6 * len(self.POLICIES)
+        t0 = time.perf_counter()
+        cold = run_batch(cold_queue, cache, workers=workers)
+        cold_wall = time.perf_counter() - t0
+        assert cold.done + cold.failed == len(jobs)
+        assert cold.cache_hits == 0
+        failed = set(cold.failed_ids)
+        done_cells = sum(n for job_id, n in cells.items()
+                         if job_id not in failed)
+        assert len(replay_store_for(cache)) == done_cells
+
+        warm_queue, _ = self._submit(tmp_path, "warm")
+        t0 = time.perf_counter()
+        warm = run_batch(warm_queue, cache, workers=workers)
+        warm_wall = time.perf_counter() - t0
+        assert warm.cache_hits == cold.done
+        assert warm.done == cold.done
+        assert warm.failed == cold.failed
+        # Serving a fleet from the replay store is never slower than
+        # recomputing it.
+        assert warm_wall <= cold_wall
 
 
 class TestReplayBatchJob:

@@ -14,6 +14,7 @@ from repro.core.baselines import (
 from repro.core.cost import transition_frames
 from repro.core.partitioner import partition
 from repro.eval.casestudy import CASESTUDY_BUDGET
+from repro.runtime.adaptive import BurstyEnvironment, UniformEnvironment
 from repro.runtime.icap import CUSTOM_DMA_CONTROLLER, IcapModel
 from repro.runtime.manager import (
     ConfigurationManager,
@@ -157,6 +158,18 @@ class TestCompare:
         # The single-region scheme rewrites everything every time; the
         # modular scheme only what changes.
         assert out["modular"].total_frames < out["single-region"].total_frames
+
+    @pytest.mark.parametrize(
+        "environment",
+        [UniformEnvironment, lambda d: BurstyEnvironment(d, dwell=0.9)],
+        ids=["uniform", "bursty"],
+    )
+    def test_proposed_never_worse_than_single_region(self, receiver,
+                                                     environment):
+        trace = environment(receiver).trace(1000, seed=7)
+        proposed = replay(partition(receiver, CASESTUDY_BUDGET).scheme, trace)
+        single = replay(single_region_scheme(receiver), trace)
+        assert proposed.total_frames <= single.total_frames
 
     def test_history_records_everything(self, modular):
         mgr = ConfigurationManager(modular)

@@ -121,6 +121,22 @@ class TestPrefetching:
         assert fetched.total_frames <= plain.total_frames
         assert fetched.prefetch_hits > 0
 
+    def test_hiding_is_ordered_by_predictor_quality(self, design, scheme):
+        """Oracle <= Markov <= no prefetch on a chain that mostly steps
+        to the next configuration."""
+        names = [c.name for c in design.configurations]
+        matrix = {}
+        for i, src in enumerate(names):
+            nxt = names[(i + 1) % len(names)]
+            rest = [n for n in names if n not in (src, nxt)]
+            matrix[src] = {nxt: 0.9, **{n: 0.1 / len(rest) for n in rest}}
+        trace = MarkovEnvironment(design, matrix).trace(1500, seed=3)
+        plain = replay(scheme, trace)
+        markov = replay_with_prefetch(scheme, trace, markov_predictor(matrix))
+        oracle = replay_with_prefetch(scheme, trace, oracle_predictor(trace))
+        assert oracle.total_frames <= markov.total_frames
+        assert markov.total_frames <= plain.total_frames
+
     def test_never_prefetches_active_region(self, design, scheme):
         """A region serving the current configuration must never be
         speculatively rewritten (that would corrupt the system)."""

@@ -24,6 +24,12 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+        # perfbench/ is the one benchmark harness: no BENCH-record
+        # tooling next to it.
+        for argv in (["obs", "bench-diff", "a", "b"], ["render", "bench", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestDevices:

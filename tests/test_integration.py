@@ -175,7 +175,10 @@ class TestPolicyConsistency:
             ) <= total_reconfiguration_frames(scheme, TransitionPolicy.STRICT)
 
     def test_partitioner_with_strict_policy_still_beats_single(self):
-        from repro.core.baselines import single_region_scheme
+        from repro.core.baselines import (
+            one_module_per_region_scheme,
+            single_region_scheme,
+        )
         from repro.core.partitioner import PartitionerOptions
 
         design = casestudy_design()
@@ -184,4 +187,8 @@ class TestPolicyConsistency:
         single = single_region_scheme(design)
         assert result.total_frames <= total_reconfiguration_frames(
             single, TransitionPolicy.STRICT
+        )
+        # ... and the modular baseline charged under the same policy.
+        assert result.total_frames <= total_reconfiguration_frames(
+            one_module_per_region_scheme(design), TransitionPolicy.STRICT
         )

@@ -363,14 +363,8 @@ class TestPipelineIntegration:
         assert traced.total_frames == baseline.total_frames
         assert traced.scheme.describe() == baseline.scheme.describe()
 
-    def test_annealing_and_exact_traced(self, paper_example):
-        from repro.core.annealing import partition_annealing
+    def test_exact_traced(self, paper_example):
         from repro.core.exact import partition_exact
-
-        t = RecordingTracer()
-        partition_annealing(paper_example, self.BUDGET, tracer=t)
-        assert "anneal" in t.trace().span_names()
-        assert t.counters["anneal.steps"] > 0
 
         t = RecordingTracer()
         partition_exact(paper_example, self.BUDGET, tracer=t)

@@ -1,5 +1,5 @@
 """The telemetry CLI surface: ``batch run --telemetry-dir`` and the
-``obs report|export-prom|bench-diff`` toolchain, through ``main(argv)``.
+``obs report|export-prom`` toolchain, through ``main(argv)``.
 
 Exercises the ISSUE acceptance flow: drain a queue with telemetry on,
 then aggregate the directory and round-trip the Prometheus export.
@@ -121,43 +121,6 @@ class TestObsExportProm:
 
     def test_export_missing_directory_errors(self, tmp_path, capsys):
         rc = main(["obs", "export-prom", str(tmp_path / "absent")])
-        assert rc == 1
-        assert "error" in capsys.readouterr().err
-
-
-class TestObsBenchDiff:
-    def _write(self, path, **timings):
-        path.write_text(json.dumps({
-            "suite": "s",
-            "benchmarks": [
-                {"name": n, "mean": m} for n, m in timings.items()
-            ],
-        }))
-        return str(path)
-
-    def test_clean_diff_exits_zero(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json", a=1.0)
-        new = self._write(tmp_path / "new.json", a=1.1)
-        rc = main(["obs", "bench-diff", old, new])
-        assert rc == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_regression_exits_three(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json", a=1.0)
-        new = self._write(tmp_path / "new.json", a=2.0)
-        rc = main(["obs", "bench-diff", old, new])
-        assert rc == 3
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_threshold_flag_widens_tolerance(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json", a=1.0)
-        new = self._write(tmp_path / "new.json", a=2.0)
-        rc = main(["obs", "bench-diff", old, new, "--threshold", "1.5"])
-        assert rc == 0
-
-    def test_unreadable_bench_errors(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json", a=1.0)
-        rc = main(["obs", "bench-diff", old, str(tmp_path / "absent.json")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
 

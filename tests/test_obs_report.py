@@ -1,4 +1,4 @@
-"""The obs toolchain: run aggregation, Prometheus export, bench diff.
+"""The obs toolchain: run aggregation and Prometheus export.
 
 The export tests are *round-trip* tests: everything ``prometheus_text``
 emits must survive the strict :func:`parse_prometheus` reader -- the
@@ -13,20 +13,15 @@ import json
 import pytest
 
 from repro.obs import (
-    BenchDiffError,
     Histogram,
     PrometheusFormatError,
     TelemetrySink,
     aggregate_run,
-    bench_diff,
     export_prometheus_dir,
-    load_bench,
     parse_prometheus,
     prometheus_text,
-    render_bench_diff,
     render_run_report,
 )
-from repro.obs.report import DEFAULT_BENCH_THRESHOLD
 
 
 def _write_run(directory, jobs=(), counters=None, gauges=None, histograms=None):
@@ -346,72 +341,6 @@ class TestPrometheusParserStrictness:
                 'h_bucket{le="+Inf"} 3\n'
                 'h_count 4\n'
             )
-
-
-def _bench_doc(**timings):
-    return {
-        "suite": "allocation",
-        "benchmarks": [
-            {"name": name, "mean": mean} for name, mean in timings.items()
-        ],
-    }
-
-
-class TestBenchDiff:
-    def test_flags_regressions_past_threshold(self):
-        diff = bench_diff(
-            _bench_doc(a=1.0, b=1.0, c=1.0),
-            _bench_doc(a=1.1, b=1.6, c=0.5),
-            threshold=0.25,
-        )
-        assert [d.name for d in diff.regressions] == ["b"]
-        assert [d.name for d in diff.improvements] == ["c"]
-        assert diff.deltas[1].delta_pct == pytest.approx(60.0)
-
-    def test_membership_changes_listed_not_flagged(self):
-        diff = bench_diff(_bench_doc(a=1.0, gone=1.0), _bench_doc(a=1.0, new=1.0))
-        assert diff.only_old == ["gone"]
-        assert diff.only_new == ["new"]
-        assert diff.regressions == []
-
-    def test_render(self):
-        diff = bench_diff(_bench_doc(a=1.0), _bench_doc(a=2.0))
-        text = render_bench_diff(diff)
-        assert "REGRESSION" in text
-        assert "1 regression(s)" in text
-
-    def test_default_threshold(self):
-        assert DEFAULT_BENCH_THRESHOLD == 0.25
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(BenchDiffError):
-            bench_diff(_bench_doc(), _bench_doc(), threshold=-0.1)
-
-    def test_load_bench_validates(self, tmp_path):
-        good = tmp_path / "BENCH_x.json"
-        good.write_text(json.dumps(_bench_doc(a=1.0)))
-        assert load_bench(good)["suite"] == "allocation"
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        with pytest.raises(BenchDiffError, match="suite"):
-            load_bench(bad)
-        with pytest.raises(BenchDiffError, match="cannot read"):
-            load_bench(tmp_path / "absent.json")
-
-    def test_mean_falls_back_to_min(self):
-        old = {"suite": "s", "benchmarks": [{"name": "a", "min": 1.0}]}
-        new = {"suite": "s", "benchmarks": [{"name": "a", "min": 2.0}]}
-        diff = bench_diff(old, new, threshold=0.25)
-        assert diff.deltas[0].ratio == pytest.approx(2.0)
-
-    def test_committed_artifact_diffs_against_itself(self):
-        from pathlib import Path
-
-        path = Path(__file__).parent.parent / "benchmarks" / "BENCH_allocation.json"
-        doc = load_bench(path)
-        diff = bench_diff(doc, doc)
-        assert diff.regressions == []
-        assert diff.deltas  # the committed artifact has benchmarks
 
 
 class TestSearchCounters:

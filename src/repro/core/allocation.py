@@ -36,7 +36,7 @@ Implementation note: this is the hot loop of the whole library (the
 Fig. 7-9 sweep runs it hundreds of thousands of times), so the internal
 :class:`_Group` works on plain int tuples -- (clb, bram, dsp) -- instead
 of :class:`ResourceVector`, quantisation is inlined, and merged groups
-are memoised by member signature.  The public surface still speaks
+are memoised by member bitmask.  The public surface still speaks
 ``ResourceVector``/:class:`PartitioningScheme`.
 """
 
@@ -73,6 +73,9 @@ _CLB_FRAMES, _BRAM_FRAMES, _DSP_FRAMES = 36, 30, 28
 #: engines -- use the same implementation and produce identical floats.
 _VECTORIZE_MIN_CONFIGS = 12
 
+#: Histogram bucket bounds for descent steps per restart (counts).
+_STEP_BOUNDS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0)
+
 Vec = tuple[int, int, int]
 
 
@@ -95,8 +98,11 @@ class _Group:
     partition serving that configuration, or ``None``.  ``usage`` is the
     bitmask of configuration indices touching any member's modes -- two
     groups may merge iff their usage masks are disjoint (the paper's
-    compatibility relation lifted to groups).  ``ids`` is the
-    numpy-encoded activity vector (shared label codec, -1 for ``None``)
+    compatibility relation lifted to groups).  ``mask`` is the member
+    bitmask: bit ``codec[label]`` per member, under the label codec of
+    the merge cache the group belongs to, so within one cache it
+    identifies the member set exactly as ``signature`` does.  ``ids`` is
+    the numpy-encoded activity vector (same codec, -1 for ``None``)
     when the group was built inside a search; ``None`` otherwise.
     """
 
@@ -109,6 +115,7 @@ class _Group:
     switch_pairs_strict: float
     switch_pairs_lenient: float
     signature: frozenset[str]
+    mask: int
     ids: "np.ndarray | None" = field(default=None, repr=False, compare=False)
 
     def switch_pairs(self, policy: TransitionPolicy) -> float:
@@ -129,19 +136,17 @@ def _switch_pair_counts(activity: Sequence[str | None]) -> tuple[int, int]:
     strict:  unordered pairs with differing entries (None is a value);
     lenient: unordered pairs with differing entries, both non-None.
     """
-    counts: dict[str | None, int] = {}
-    for label in activity:
-        counts[label] = counts.get(label, 0) + 1
     n = len(activity)
-
-    def c2(k: int) -> int:
-        return k * (k - 1) // 2
-
-    same = sum(c2(k) for k in counts.values())
-    strict = c2(n) - same
-    non_none = n - counts.get(None, 0)
-    same_non_none = sum(c2(k) for lbl, k in counts.items() if lbl is not None)
-    lenient = c2(non_none) - same_non_none
+    non_none = n - activity.count(None)
+    same = same_non_none = 0
+    for label in set(activity):
+        k = activity.count(label)
+        pairs = k * (k - 1) // 2
+        same += pairs
+        if label is not None:
+            same_non_none += pairs
+    strict = n * (n - 1) // 2 - same
+    lenient = non_none * (non_none - 1) // 2 - same_non_none
     return strict, lenient
 
 
@@ -194,6 +199,8 @@ def _make_group(
     members: tuple[BasePartition, ...],
     activity: tuple[str | None, ...],
     usage: int,
+    signature: frozenset[str],
+    mask: int,
     weights=None,
     ids=None,
 ) -> _Group:
@@ -218,7 +225,8 @@ def _make_group(
         footprint=footprint,
         switch_pairs_strict=strict,
         switch_pairs_lenient=lenient,
-        signature=frozenset(p.label for p in members),
+        signature=signature,
+        mask=mask,
         ids=ids,
     )
 
@@ -232,48 +240,67 @@ def _initial_groups(
     """Each candidate partition in its own region.
 
     Passing a label ``codec`` (normally the merge cache's) additionally
-    encodes every activity vector for the vectorized kernels; groups of
-    one search must share one codec.
+    encodes every activity vector for the vectorized kernels and numbers
+    the member-mask bits; groups merged through one cache must share one
+    codec.  Without a codec, mask bits follow the partitions' order.
     """
     config_modes = [frozenset(c.modes) for c in design.configurations]
     config_names = [c.name for c in design.configurations]
     groups: list[_Group] = []
-    for bp in cps.partitions:
+    for k, bp in enumerate(cps.partitions):
+        label = bp.label
         activity = tuple(
-            bp.label if bp.label in cps.cover[name] else None
+            label if label in cps.cover[name] else None
             for name in config_names
         )
         usage = 0
         for i, modes in enumerate(config_modes):
             if bp.modes & modes:
                 usage |= 1 << i
-        ids = encode_activity(activity, codec) if codec is not None else None
-        groups.append(_make_group((bp,), activity, usage, weights, ids))
+        if codec is None:
+            ids, bit = None, k
+        else:
+            # Every candidate partition supplies some configuration, so
+            # encoding its activity puts its label in the codec.
+            ids = encode_activity(activity, codec)
+            bit = codec[label]
+        groups.append(
+            _make_group(
+                (bp,), activity, usage, frozenset((label,)), 1 << bit,
+                weights, ids,
+            )
+        )
     return groups
 
 
 class _MergeCache:
-    """Memoises merged groups by member-signature pair.
+    """Memoises merged groups by member set.
 
     A cache is bound to one pair-weight matrix (or none); mixing weighted
     and unweighted searches requires separate caches.  ``hits``/``misses``
     are plain ints maintained unconditionally (two integer adds per merge
     -- negligible next to group construction) so tracers can report cache
     effectiveness without touching the hot path.  ``codec`` is the shared
-    label-id mapping for the vectorized kernels; merged ids are derived
-    by overlaying the parents' encodings.
+    label-id mapping for the vectorized kernels and the member-mask bits;
+    merged ids are derived by overlaying the parents' encodings.
+
+    Lookups go through ``_index``, keyed by member mask (one int OR per
+    merge).  ``_cache`` holds the same groups keyed by label set; it is
+    written on misses only and serves inspection (the engine
+    differential tests compare its key sets).
     """
 
     def __init__(self, weights=None) -> None:
         self._cache: dict[frozenset[str], _Group] = {}
+        self._index: dict[int, _Group] = {}
         self.weights = weights
         self.codec: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
 
     def merge(self, a: _Group, b: _Group) -> _Group:
-        key = a.signature | b.signature
-        merged = self._cache.get(key)
+        key = a.mask | b.mask
+        merged = self._index.get(key)
         if merged is None:
             self.misses += 1
             activity = tuple(
@@ -286,10 +313,13 @@ class _MergeCache:
                 a.members + b.members,
                 activity,
                 a.usage | b.usage,
+                a.signature | b.signature,
+                key,
                 self.weights,
                 ids,
             )
-            self._cache[key] = merged
+            self._index[key] = merged
+            self._cache[merged.signature] = merged
         else:
             self.hits += 1
         return merged
@@ -314,24 +344,16 @@ def _total_cost(groups: Sequence[_Group], policy: TransitionPolicy) -> float:
 
 
 class _PairStats:
-    """Memoised (merged cost, merged footprint) of compatible pairs.
+    """Memoised (merged cost, merged footprint) of compatible base pairs.
 
-    Two access paths, both reporting exactly what ``cache.merge(a, b)``
-    would (an existing cache entry is consulted first -- a cache shared
-    across the candidate sets of one design may hold a group whose
-    activity was derived under an earlier set's cover, and the reference
-    engine scores with that entry):
-
-    * :meth:`peek` never allocates the merged :class:`_Group` or touches
-      the cache's hit/miss books -- the cheap path used to rank
-      ``initial_pairs`` and the incremental engine's base stream
-      (absent a cache entry it derives the value from the overlay
-      directly);
-    * :meth:`evaluate` materialises the pair through ``cache.merge`` the
-      first time -- the incremental engine uses it for every pair a
-      reference descent would itself evaluate, so both engines leave the
-      shared cache with identical contents (on which *later* searches'
-      values depend).
+    :meth:`peek` reports exactly what ``cache.merge(a, b)`` would (an
+    existing cache entry is consulted first -- a cache shared across the
+    candidate sets of one design may hold a group whose activity was
+    derived under an earlier set's cover, and the reference engine
+    scores with that entry), but never allocates the merged
+    :class:`_Group` or touches the cache's hit/miss books.  It ranks
+    ``initial_pairs`` and the incremental engine's base stream; absent a
+    cache entry it derives the value from the overlay directly.
 
     Callers derive the reference engine's scan values in the reference's
     operand order (``merged - lower - upper``), keeping weighted floats
@@ -341,13 +363,12 @@ class _PairStats:
     both orders.
     """
 
-    __slots__ = ("_strict", "_cache", "_memo", "_materialised")
+    __slots__ = ("_strict", "_cache", "_memo")
 
     def __init__(self, policy: TransitionPolicy, cache: _MergeCache) -> None:
         self._strict = policy is TransitionPolicy.STRICT
         self._cache = cache
         self._memo: dict[tuple[int, int], tuple[float, Vec]] = {}
-        self._materialised: set[tuple[int, int]] = set()
 
     def _value_of(self, merged: _Group) -> tuple[float, Vec]:
         sw = (
@@ -362,7 +383,7 @@ class _PairStats:
         key = (ka, kb) if ka < kb else (kb, ka)
         val = self._memo.get(key)
         if val is None:
-            cached = self._cache._cache.get(a.signature | b.signature)
+            cached = self._cache._index.get(a.mask | b.mask)
             if cached is not None:
                 val = self._value_of(cached)
             else:
@@ -388,16 +409,6 @@ class _PairStats:
                     footprint,
                 )
             self._memo[key] = val
-        return val
-
-    def evaluate(self, a: _Group, b: _Group) -> tuple[float, Vec]:
-        ka, kb = id(a), id(b)
-        key = (ka, kb) if ka < kb else (kb, ka)
-        if key in self._materialised:
-            return self._memo[key]
-        self._materialised.add(key)
-        val = self._value_of(self._cache.merge(a, b))
-        self._memo[key] = val
         return val
 
 
@@ -506,7 +517,6 @@ def search_candidate_set(
     best_cost: float | None = None
     states = 0
     feasible = 0
-    seen_states: set[frozenset[frozenset[str]]] = set()
 
     def consider(groups: list[_Group], fits: bool | None = None) -> None:
         nonlocal best_groups, best_cost, states, feasible
@@ -549,43 +559,35 @@ def search_candidate_set(
 
     descent_steps = 0
     heap_stats = _HeapStats()
-
-    progress = None
-    if tracer.enabled:
-
-        def progress(restart: int) -> None:
-            tracer.progress(
-                "merge.restart",
-                restart=restart + 1,
-                restarts=len(initial_pairs),
-                states=states,
-                best_cost=best_cost,
-            )
+    # Steps taken by each restart's descent, for the trace's histogram.
+    restart_steps: list[int] | None = [] if tracer.enabled else None
 
     if options.engine == "reference":
-        for restart, (i, j) in enumerate(initial_pairs):
+        seen_states: set[frozenset[frozenset[str]]] = set()
+        for i, j in initial_pairs:
             groups = [g for k, g in enumerate(base) if k not in (i, j)]
             groups.append(cache.merge(base[i], base[j]))
             consider(groups)
-            descent_steps += _greedy_descent(
+            steps = _greedy_descent(
                 groups, cap, options, consider, seen_states, cache
             )
-            if progress is not None:
-                progress(restart)
+            descent_steps += steps
+            if restart_steps is not None:
+                restart_steps.append(steps)
     else:
-        descent_steps = _run_restarts_incremental(
+        descent_steps, unfit = _run_restarts_incremental(
             base,
             pairs,
             initial_pairs,
             cap,
             options,
             consider,
-            seen_states,
             cache,
             pair_stats,
             heap_stats,
-            progress,
+            restart_steps,
         )
+        states += unfit
 
     tracer.count("merge.states_explored", states)
     tracer.count("merge.feasible_states", feasible)
@@ -593,6 +595,10 @@ def search_candidate_set(
     tracer.count("merge.descent_steps", descent_steps)
     tracer.count("merge.cache_hits", cache.hits - cache_hits0)
     tracer.count("merge.cache_misses", cache.misses - cache_misses0)
+    if restart_steps:
+        tracer.observe_many(
+            "merge.restart_steps", restart_steps, bounds=_STEP_BOUNDS
+        )
     if options.engine != "reference":
         tracer.count("merge.heap_pushes", heap_stats.pushes)
         tracer.count("merge.heap_pops", heap_stats.pops)
@@ -614,13 +620,16 @@ def _run_restarts_incremental(
     capacity: Vec,
     options: AllocationOptions,
     consider: Callable[..., None],
-    seen_states: set[frozenset[frozenset[str]]],
     cache: _MergeCache,
     pair_stats: _PairStats,
     heap_stats: _HeapStats,
-    progress: Callable[[int], None] | None = None,
-) -> int:
+    restart_steps: list[int] | None = None,
+) -> tuple[int, int]:
     """Stream-plus-heap restart loop, bit-identical to the reference engine.
+
+    Returns (descent steps, explored states that do not fit).  Only
+    fitting states reach ``consider``: the others cannot change the
+    best arrangement, so their group list is never built.
 
     Groups carry monotone *slot* numbers: base groups take 0..n-1, every
     merged group a fresh higher slot.  The live arrangement is a dict in
@@ -646,16 +655,31 @@ def _run_restarts_incremental(
     descent moves to the other mode's stream and rebuilds the heap from
     merged-group pairs only.
 
+    Bookkeeping is bitmask-based, so no step rescans the live groups:
+
+    * a merged group's base partners are the set bits of its
+      *compatibility mask* (per base slot, the compatible base slots;
+      ANDed over a group's members) within the live-base mask, visited
+      in ascending slot order, then the live merged groups are checked
+      by usage -- the order the reference's positional scan visits
+      them in;
+    * seen states are keyed by the frozenset of the *merged* groups'
+      member masks: for one candidate set the singletons are implied,
+      so the key is exact;
+    * each ordered pair's (cost delta, footprint saved) is memoised, so
+      a pair re-entering a later restart costs one dict lookup, with
+      the weighted float operands in the same order.
+
     Pair *evaluation* is deliberately kept congruent with the reference
     scan: a state's candidates are only seeded (and new-group pairs
     only evaluated) after that state passes the step-cap and seen-state
     gates -- exactly when the reference engine would rescan it -- and
-    every evaluation goes through :meth:`_PairStats.evaluate`, which
-    materialises the merged group in the shared cache.  The stream
-    itself is ranked from the :meth:`_PairStats.peek` memo (the same
-    values), so base pairs are materialised separately: a pending list
-    holds those not yet evaluated, and each gated restart drains the
-    ones live in its start state.  Searches later in a ``partition()``
+    the first evaluation of a pair (in either order) materialises the
+    merged group through ``cache.merge``.  The stream itself is ranked
+    from the :meth:`_PairStats.peek` memo (the same values), so base
+    pairs are materialised separately: a pending list holds those not
+    yet evaluated, and each gated restart drains the ones live in its
+    start state.  Searches later in a ``partition()``
     run read values out of that cache, so matching its *contents* (not
     just this search's result) is part of the bit-identical contract.
     """
@@ -681,14 +705,16 @@ def _run_restarts_incremental(
         base_d += fd
     n_pairs = len(pairs)
     deg = [0] * n
+    compat = [0] * n
     for k, l in pairs:
         deg[k] += 1
         deg[l] += 1
+        compat[k] |= 1 << l
+        compat[l] |= 1 << k
+    base_slots = dict(enumerate(base))
+    all_base = (1 << n) - 1
 
-    def entry_for(
-        slot_lo, slot_hi, lo, hi, mode_fits, stats=pair_stats.evaluate
-    ):
-        merged_cost, merged_fp = stats(lo, hi)
+    def pair_delta(lo, hi, merged_cost, merged_fp):
         lo_fp = lo.footprint
         hi_fp = hi.footprint
         # Same operand order as the reference scan: (merged - lo) - hi.
@@ -698,6 +724,25 @@ def _run_restarts_incremental(
             + (lo_fp[1] + hi_fp[1] - merged_fp[1])
             + (lo_fp[2] + hi_fp[2] - merged_fp[2])
         )
+        return delta, saved
+
+    # (lo mask, hi mask) -> (delta, saved) of pairs with a merged member.
+    # An entry in either order means the pair is materialised.
+    deltas: dict[tuple[int, int], tuple[float, int]] = {}
+    index = cache._index
+
+    def entry_for(slot_lo, slot_hi, lo, hi, mode_fits):
+        lm, hm = lo.mask, hi.mask
+        found = deltas.get((lm, hm))
+        if found is None:
+            if (hm, lm) in deltas:
+                merged = index[lm | hm]
+            else:
+                merged = cache.merge(lo, hi)
+            found = deltas[(lm, hm)] = pair_delta(
+                lo, hi, gcost(merged), merged.footprint
+            )
+        delta, saved = found
         if mode_fits:
             return (delta, -saved, slot_lo, slot_hi)
         return (-saved, delta, slot_lo, slot_hi)
@@ -707,42 +752,48 @@ def _run_restarts_incremental(
     def stream_for(mode_fits):
         stream = streams.get(mode_fits)
         if stream is None:
-            peek = pair_stats.peek
-            stream = sorted(
-                entry_for(k, l, base[k], base[l], mode_fits, peek)
-                for k, l in pairs
-            )
-            streams[mode_fits] = stream
+            entries = []
+            for k, l in pairs:
+                delta, saved = pair_delta(
+                    base[k], base[l], *pair_stats.peek(base[k], base[l])
+                )
+                if mode_fits:
+                    entries.append((delta, -saved, k, l))
+                else:
+                    entries.append((-saved, delta, k, l))
+            entries.sort()
+            stream = streams[mode_fits] = entries
         return stream
 
-    def merged_entries(items, mode_fits):
+    def merged_entries(alive, mcompat, mode_fits):
         """Entries of every compatible live pair with a merged member."""
         entries = []
-        m = len(items)
-        for x in range(m):
-            sx, gx = items[x]
+        merged_slots = list(mcompat)
+        for sx, gx in alive.items():
             ux = gx.usage
-            for y in range(x + 1, m):
-                sy, gy = items[y]
-                # Slots ascend along items, so sy < n means both are base.
-                if sy < n or ux & gy.usage:
+            for sy in merged_slots:
+                if sy <= sx:
+                    continue
+                gy = alive[sy]
+                if ux & gy.usage:
                     continue
                 entries.append(entry_for(sx, sy, gx, gy, mode_fits))
         heapq.heapify(entries)
         return entries
 
+    seen: set[frozenset[int]] = set()
     pending = pairs
     total_steps = 0
+    unfit = 0
     push = heapq.heappush
     pop = heapq.heappop
 
-    for restart, (i, j) in enumerate(initial_pairs):
+    for i, j in initial_pairs:
         gi, gj = base[i], base[j]
         merged = cache.merge(gi, gj)
-        alive: dict[int, _Group] = {}
-        for k in range(n):
-            if k != i and k != j:
-                alive[k] = base[k]
+        alive = base_slots.copy()
+        del alive[i]
+        del alive[j]
         slot = n
         alive[slot] = merged
 
@@ -752,14 +803,18 @@ def _run_restarts_incremental(
         run_d = base_d - gi.footprint[2] - gj.footprint[2] + md
         fits_now = run_c <= cap_c and run_b <= cap_b and run_d <= cap_d
 
-        consider(list(alive.values()), fits_now)
+        if fits_now:
+            consider(list(alive.values()), True)
+        else:
+            unfit += 1
 
         steps = 0
-        state_sig = frozenset(g.signature for g in alive.values())
+        merged_masks = {merged.mask}
+        state_sig = frozenset(merged_masks)
         # max_descent_steps is validated positive, so the reference's
         # step-cap check never fires before the first step.
-        if len(alive) > 1 and state_sig not in seen_states:
-            seen_states.add(state_sig)
+        if len(alive) > 1 and state_sig not in seen:
+            seen.add(state_sig)
             if pending:
                 # Materialise the start state's not-yet-evaluated base
                 # pairs, as the reference's first rescan would.
@@ -768,9 +823,8 @@ def _run_restarts_incremental(
                     if k == i or k == j or l == i or l == j:
                         rest.append((k, l))
                     else:
-                        pair_stats.evaluate(base[k], base[l])
+                        cache.merge(base[k], base[l])
                 pending = rest
-            sig_set = set(state_sig)
             mode = fits_now
             stream = stream_for(mode)
             stream_len = len(stream)
@@ -780,13 +834,17 @@ def _run_restarts_incremental(
             # is 1 when live, 0 when it was never seeded, else stale.
             state = [1] * n
             state[i] = state[j] = 0
+            live_base = all_base ^ (1 << i) ^ (1 << j)
+            # Merged slot -> compatibility mask, in slot order.
+            mcompat = {slot: compat[i] & compat[j]}
             stale = 0
-            mu = merged.usage
-            heap = [
-                entry_for(s, slot, g, merged, mode)
-                for s, g in alive.items()
-                if s != slot and not g.usage & mu
-            ]
+            heap = []
+            partners = mcompat[slot] & live_base
+            while partners:
+                low = partners & -partners
+                partners ^= low
+                k = low.bit_length() - 1
+                heap.append(entry_for(k, slot, base[k], merged, mode))
             heapq.heapify(heap)
             seeded = n_pairs - deg[i] - deg[j] + 1 + len(heap)
             heap_stats.pushes += seeded
@@ -823,30 +881,44 @@ def _run_restarts_incremental(
                 slot_lo, slot_hi = entry[2], entry[3]
                 ga = alive.pop(slot_lo)
                 gb = alive.pop(slot_hi)
+                # slot_lo < slot_hi, so a merged lo implies a merged hi.
                 if slot_lo < n:
                     state[slot_lo] = 2
+                    live_base ^= 1 << slot_lo
+                    new_compat = compat[slot_lo]
                     if slot_hi < n:
                         state[slot_hi] = 2
+                        live_base ^= 1 << slot_hi
+                        new_compat &= compat[slot_hi]
+                    else:
+                        new_compat &= mcompat.pop(slot_hi)
+                        merged_masks.discard(gb.mask)
+                else:
+                    new_compat = mcompat.pop(slot_lo) & mcompat.pop(slot_hi)
+                    merged_masks.discard(ga.mask)
+                    merged_masks.discard(gb.mask)
                 merged_next = cache.merge(ga, gb)
                 slot += 1
                 alive[slot] = merged_next
+                mcompat[slot] = new_compat
+                merged_masks.add(merged_next.mask)
                 run_c += merged_next.footprint[0] - ga.footprint[0] - gb.footprint[0]
                 run_b += merged_next.footprint[1] - ga.footprint[1] - gb.footprint[1]
                 run_d += merged_next.footprint[2] - ga.footprint[2] - gb.footprint[2]
                 fits_now = run_c <= cap_c and run_b <= cap_b and run_d <= cap_d
-                sig_set.discard(ga.signature)
-                sig_set.discard(gb.signature)
-                sig_set.add(merged_next.signature)
-                consider(list(alive.values()), fits_now)
+                if fits_now:
+                    consider(list(alive.values()), True)
+                else:
+                    unfit += 1
                 steps += 1
                 if len(alive) <= 1:
                     break
                 if max_steps is not None and steps >= max_steps:
                     break
-                state_sig = frozenset(sig_set)
-                if state_sig in seen_states:
+                state_sig = frozenset(merged_masks)
+                if state_sig in seen:
                     break
-                seen_states.add(state_sig)
+                seen.add(state_sig)
                 if fits_now and not mode:
                     # The arrangement started fitting: re-key every live
                     # pair from footprint-first to cost-first.  Footprint
@@ -861,30 +933,39 @@ def _run_restarts_incremental(
                         state[k] = 0
                     # Live base pairs: all, less those touching a dead
                     # slot (inclusion-exclusion over dead-dead pairs).
-                    live_base = n_pairs - sum(deg[k] for k in dead)
+                    live_pairs = n_pairs - sum(deg[k] for k in dead)
                     for a, b in itertools.combinations(dead, 2):
                         if not base[a].usage & base[b].usage:
-                            live_base += 1
-                    heap = merged_entries(list(alive.items()), True)
+                            live_pairs += 1
+                    heap = merged_entries(alive, mcompat, True)
                     heap_stats.rebuilds += 1
-                    heap_stats.pushes += live_base + len(heap)
+                    heap_stats.pushes += live_pairs + len(heap)
                 else:
                     # fits_now never reverts, so mode == fits_now here.
+                    # Base partners in ascending slot order (lowest set
+                    # bit first), then merged partners.
+                    partners = new_compat & live_base
+                    heap_stats.pushes += partners.bit_count()
+                    while partners:
+                        low = partners & -partners
+                        partners ^= low
+                        k = low.bit_length() - 1
+                        push(heap, entry_for(k, slot, base[k], merged_next, mode))
                     mu = merged_next.usage
-                    for s, g in alive.items():
-                        if s == slot or g.usage & mu:
+                    for s in mcompat:
+                        if s == slot:
                             continue
-                        push(
-                            heap,
-                            entry_for(s, slot, g, merged_next, mode),
-                        )
+                        g = alive[s]
+                        if g.usage & mu:
+                            continue
+                        push(heap, entry_for(s, slot, g, merged_next, mode))
                         heap_stats.pushes += 1
             heap_stats.stale_drops += stale
 
         total_steps += steps
-        if progress is not None:
-            progress(restart)
-    return total_steps
+        if restart_steps is not None:
+            restart_steps.append(steps)
+    return total_steps, unfit
 
 
 def _greedy_descent(

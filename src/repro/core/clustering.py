@@ -21,6 +21,7 @@ module; the number of cliques is bounded by prod(modes_m + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
@@ -40,7 +41,9 @@ class BasePartition:
     are concurrently active when the partition is loaded.  ``frames`` is
     that footprint quantised to tiles (Eqs. 3-6), which is both the
     covering tiebreak "area" and the reconfiguration cost of loading the
-    partition alone.
+    partition alone.  ``label`` and the covering-list order are derived
+    once per instance and cached (the merge search reads them hundreds
+    of thousands of times per design).
     """
 
     modes: frozenset[str]
@@ -65,10 +68,14 @@ class BasePartition:
         """Tile-quantised frame footprint of the partition alone."""
         return frames_for(self.resources)
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Canonical ``{A1, B2}`` style label (sorted member names)."""
         return "{" + ", ".join(sorted(self.modes)) + "}"
+
+    @cached_property
+    def _order(self) -> tuple[int, int, int, str]:
+        return (self.size, self.frequency_weight, self.frames, self.label)
 
     def sort_key(self) -> tuple[int, int, int, str]:
         """Covering-list order: size, then frequency weight, then area.
@@ -76,7 +83,7 @@ class BasePartition:
         All ascending (Sec. IV-C); the label breaks remaining ties so the
         algorithm is deterministic.
         """
-        return (self.size, self.frequency_weight, self.frames, self.label)
+        return self._order
 
     def overlaps(self, other: "BasePartition") -> bool:
         return bool(self.modes & other.modes)

@@ -180,17 +180,3 @@ class ConnectivityMatrix:
 def connectivity_matrix(design: PRDesign) -> ConnectivityMatrix:
     """Module-level convenience wrapper for :meth:`from_design`."""
     return ConnectivityMatrix.from_design(design)
-
-
-def zero_row_after_cover(
-    matrix: np.ndarray, row: int, columns: Iterable[int]
-) -> np.ndarray:
-    """Return a copy of ``matrix`` with the given row entries zeroed.
-
-    Helper for the covering stage; kept here so covering's matrix surgery
-    is testable in isolation.
-    """
-    out = matrix.copy()
-    for col in columns:
-        out[row, col] = 0
-    return out

@@ -90,6 +90,11 @@ class Tracer:
     ) -> None:
         """Record one sample into the named histogram."""
 
+    def observe_many(
+        self, name: str, values: Iterable[float], bounds: Iterable[float] | None = None
+    ) -> None:
+        """Record a batch of samples into the named histogram, in order."""
+
     def progress(self, name: str, **payload: Any) -> None:
         """Emit one progress event to registered callbacks."""
 
@@ -345,12 +350,22 @@ class RecordingTracer(Tracer):
         trace-wide only -- per-span distribution tracking would bloat
         every span for data the report never slices that way.
         """
+        self._histogram(name, bounds).observe(value)
+
+    def observe_many(
+        self, name: str, values: Iterable[float], bounds: Iterable[float] | None = None
+    ) -> None:
+        """Record a batch of samples -- identical to one :meth:`observe`
+        per value, so hot loops can collect locally and emit once."""
+        self._histogram(name, bounds).observe_many(values)
+
+    def _histogram(self, name: str, bounds: Iterable[float] | None) -> Histogram:
         histogram = self.histograms.get(name)
         if histogram is None:
             histogram = self.histograms[name] = (
                 Histogram() if bounds is None else Histogram(bounds)
             )
-        histogram.observe(value)
+        return histogram
 
     # -- progress stream -------------------------------------------------
     def on_progress(self, callback: Callable[[ProgressEvent], None]) -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.clustering import enumerate_base_partitions
@@ -12,6 +15,8 @@ from repro.core.covering import (
     cover,
 )
 from repro.core.matrix import ConnectivityMatrix
+from repro.eval.casestudy import casestudy_design
+from repro.synth.generator import generate_population
 
 
 @pytest.fixture
@@ -180,3 +185,41 @@ class TestSingleModeMixCovering:
         # With all singletons removed, the pairs/triples must take over.
         last = sets[-1]
         assert any("," in lbl for lbl in last.labels)
+
+
+#: sha256 of :func:`sequence_digest` over the case study and over the
+#: perfbench pool (``generate_population(240, seed=2013)``).
+CASESTUDY_DIGEST = "a616b294feb1fc07bf1f03d98a0fae54c5774ca0f7c8adbb913698df0c9ce113"
+POOL_DIGEST = "60bdb9a90320fb2602306eb840a0b63f6c796a5f157b577936739a6ec77b2259"
+
+
+def cps_sequence(design):
+    """Labels, cover maps and order of every candidate set of a design."""
+    cm = ConnectivityMatrix.from_design(design)
+    bps = enumerate_base_partitions(design, cm)
+    return [
+        [list(cps.labels), [[name, list(lbls)] for name, lbls in cps.cover.items()]]
+        for cps in candidate_partition_sets(bps, cm)
+    ]
+
+
+def sequence_digest(designs):
+    payload = [[d.name, cps_sequence(d)] for d in designs]
+    blob = json.dumps(payload, separators=(",", ":"), ensure_ascii=True)
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+class TestGoldenSequence:
+    """The full CPS sequence pinned as a digest of canonical JSON.
+
+    Recorded with the numpy-matrix covering pass that the bitset pass
+    replaced; any change is a change in the candidate sets the search
+    sees, not a refactor.
+    """
+
+    def test_case_study(self):
+        assert sequence_digest([casestudy_design()]) == CASESTUDY_DIGEST
+
+    def test_perfbench_pool(self):
+        designs = [d for _cls, d in generate_population(240, seed=2013)]
+        assert sequence_digest(designs) == POOL_DIGEST

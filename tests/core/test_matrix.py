@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.matrix import ConnectivityMatrix, connectivity_matrix, zero_row_after_cover
+from repro.core.matrix import ConnectivityMatrix, connectivity_matrix
 from repro.eval.example_design import EXPECTED_MATRIX, EXPECTED_MODE_ORDER
 
 from ..conftest import make_design
@@ -112,16 +112,3 @@ class TestConstruction:
         for label in EXPECTED_MODE_ORDER:
             assert label in text
         assert "Conf.1" in text
-
-
-class TestZeroRowHelper:
-    def test_zeroes_only_requested(self, cm):
-        out = zero_row_after_cover(cm.matrix, 0, [2, 4])
-        assert out[0, 2] == 0 and out[0, 4] == 0
-        # Row 0 column 7 (C3) untouched; other rows untouched.
-        assert out[0, 7] == 1
-        assert (out[1:] == cm.matrix[1:]).all()
-
-    def test_original_not_mutated(self, cm):
-        zero_row_after_cover(cm.matrix, 0, [2])
-        assert cm.matrix[0, 2] == 1

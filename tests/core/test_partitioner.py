@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,7 @@ from repro.core.partitioner import (
     smallest_device_for_scheme,
 )
 from repro.eval.casestudy import CASESTUDY_BUDGET, casestudy_design
+from repro.synth.generator import generate_population
 
 from ..conftest import make_design
 
@@ -262,3 +264,20 @@ class TestDeviceSelection:
         device = smallest_device_for_scheme(single, ladder)
         assert device is not None
         assert single.resource_usage().fits_in(device.capacity)
+
+
+class TestObjectiveInvariant:
+    """Unweighted, the search objective is the scheme's Eq. 7 total.
+
+    The merge cache is shared by a design's candidate sets, so a hit can
+    return a group whose activity was derived under an earlier set's
+    cover (docs/PERFORMANCE.md, "Merge-cache contents").  The objective
+    the search reports must still equal the selected scheme's total.
+    """
+
+    def test_perfbench_pool_sample(self):
+        pool = [d for _cls, d in generate_population(240, seed=2013)]
+        for index in sorted(random.Random(24).sample(range(240), 24)):
+            dres = partition_with_device_selection(pool[index], virtex5_ladder())
+            result = dres.result
+            assert result.objective == float(result.total_frames), index

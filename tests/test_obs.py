@@ -175,6 +175,19 @@ class TestMetrics:
         assert t.counters == {"outer.work": 1, "inner.work": 2}
         assert t.gauges == {"inner.depth": 9}
 
+    def test_observe_many_matches_repeated_observe(self):
+        one = RecordingTracer(clock=FakeClock(step=0.0))
+        many = RecordingTracer(clock=FakeClock(step=0.0))
+        values = [0, 3, 3, 7, 40]
+        for v in values:
+            one.observe("steps", v, bounds=(1.0, 5.0))
+        many.observe_many("steps", values, bounds=(1.0, 5.0))
+        a, b = one.histograms["steps"], many.histograms["steps"]
+        assert a.bounds == b.bounds == (1.0, 5.0)
+        assert a.bucket_counts == b.bucket_counts == [1, 2, 2]
+        assert a.summary.count == b.summary.count == 5
+        NULL_TRACER.observe_many("steps", values)
+
 
 class TestProgress:
     def test_callbacks_receive_events(self):
@@ -343,6 +356,23 @@ class TestPipelineIntegration:
         names = {e.name for e in seen}
         assert "covering.set_produced" in names
         assert "partition.candidate_set_searched" in names
+
+    def test_largest_pool_design_fits_the_ring(self):
+        """Merge restarts are a histogram, not one event each, so the
+        heaviest perfbench pool design (index 164, most merge work) stays
+        inside the default 10k-event ring."""
+        from repro.arch import virtex5_ladder
+        from repro.synth.generator import generate_population
+
+        design = list(generate_population(165, seed=2013))[164][1]
+        t = RecordingTracer()
+        partition_with_device_selection(design, virtex5_ladder(), tracer=t)
+        assert t.events_dropped == 0
+        assert "obs.events_dropped" not in t.counters
+        assert "merge.restart" not in {e.name for e in t.events}
+        steps = t.histograms["merge.restart_steps"].summary
+        assert steps.count == t.counters["merge.initial_pairs"]
+        assert steps.total == t.counters["merge.descent_steps"]
 
     def test_device_selection_root_span(self, paper_example):
         from repro.arch import virtex5_full

@@ -547,20 +547,9 @@ def _cmd_replay_compare(args: argparse.Namespace) -> int:
     def compute() -> str:
         return render_replay_html(comparison)
 
-    if args.artifact_cache:
-        from .service import ArtifactStore
-
-        astore = ArtifactStore(args.artifact_cache)
-        text = astore.get(key)
-        if text is None:
-            text = compute()
-            astore.put(key, text)
-            print(f"artifact cache miss: stored {key[:12]}", file=sys.stderr)
-        else:
-            print(f"artifact cache hit: {key[:12]}", file=sys.stderr)
-    else:
-        text = compute()
-    return _finish_render(args, text)
+    return _finish_render(
+        args, _cached_render(args.artifact_cache, key, compute)
+    )
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
@@ -811,13 +800,13 @@ def _render_problem(design_arg: str, device_name: str | None):
     return problem.design, problem.capacity, problem.device
 
 
-def _cached_render(args: argparse.Namespace, key: str, compute) -> str:
-    """``compute()`` through the artifact cache when --cache was given."""
-    if not getattr(args, "cache", None):
+def _cached_render(cache_dir: str | None, key: str, compute) -> str:
+    """``compute()`` through the artifact cache in ``cache_dir``, if any."""
+    if not cache_dir:
         return compute()
     from .service import ArtifactStore
 
-    store = ArtifactStore(args.cache)
+    store = ArtifactStore(cache_dir)
     text = store.get(key)
     if text is None:
         text = compute()
@@ -883,7 +872,7 @@ def _cmd_render_scheme(args: argparse.Namespace) -> int:
         return render_scheme_svg(partition(design, capacity))
 
     try:
-        text = _cached_render(args, key, compute)
+        text = _cached_render(args.cache, key, compute)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -918,7 +907,7 @@ def _cmd_render_floorplan(args: argparse.Namespace) -> int:
         return render_floorplan_svg(plan)
 
     try:
-        text = _cached_render(args, key, compute)
+        text = _cached_render(args.cache, key, compute)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

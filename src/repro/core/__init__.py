@@ -19,7 +19,7 @@ from .clustering import (
     enumerate_base_partitions,
     partitions_by_label,
 )
-from .compatibility import CompatibilityIndex, are_compatible, compatibility_table
+from .compatibility import are_compatible
 from .cost import (
     DEFAULT_POLICY,
     SchemeCost,
@@ -63,7 +63,6 @@ __all__ = [
     "AllocationOptions",
     "BasePartition",
     "CandidatePartitionSet",
-    "CompatibilityIndex",
     "Configuration",
     "ConnectivityMatrix",
     "CoveringError",
@@ -89,7 +88,6 @@ __all__ = [
     "best_by_worst_case",
     "candidate_partition_sets",
     "canonical_problem",
-    "compatibility_table",
     "connectivity_matrix",
     "cover",
     "design_from_tables",

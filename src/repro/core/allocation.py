@@ -36,7 +36,10 @@ Implementation note: this is the hot loop of the whole library (the
 Fig. 7-9 sweep runs it hundreds of thousands of times), so the internal
 :class:`_Group` works on plain int tuples -- (clb, bram, dsp) -- instead
 of :class:`ResourceVector`, quantisation is inlined, and merged groups
-are memoised by member bitmask.  The public surface still speaks
+are memoised by member bitmask.  Switch statistics come from plain
+Python pair loops over the activity tuple: up to the 16 configurations
+the design generators reach, those loops are at least as fast as numpy
+array kernels (docs/PERFORMANCE.md).  The public surface still speaks
 ``ResourceVector``/:class:`PartitioningScheme`.
 """
 
@@ -44,34 +47,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from ..arch.resources import ResourceVector
 from ..obs import NULL_TRACER, Tracer
 from .clustering import BasePartition
 from .cost import DEFAULT_POLICY, TransitionPolicy
 from .covering import CandidatePartitionSet
-from .kernels import (
-    encode_activity,
-    merge_encoded,
-    switch_pair_counts_encoded,
-    weighted_switch_sums_encoded,
-)
 from .model import PRDesign
 from .result import PartitioningScheme, Region
 
 # Tile constants inlined from repro.arch.tiles (kept in sync by tests).
 _CLB_PER_TILE, _BRAM_PER_TILE, _DSP_PER_TILE = 20, 4, 8
 _CLB_FRAMES, _BRAM_FRAMES, _DSP_FRAMES = 36, 30, 28
-
-#: Below this many configurations the scalar pair loops beat the numpy
-#: kernels (array setup dominates).  The dispatch depends only on the
-#: design's configuration count, so every group of one search -- and both
-#: engines -- use the same implementation and produce identical floats.
-_VECTORIZE_MIN_CONFIGS = 12
 
 #: Histogram bucket bounds for descent steps per restart (counts).
 _STEP_BOUNDS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0)
@@ -101,9 +90,7 @@ class _Group:
     compatibility relation lifted to groups).  ``mask`` is the member
     bitmask: bit ``codec[label]`` per member, under the label codec of
     the merge cache the group belongs to, so within one cache it
-    identifies the member set exactly as ``signature`` does.  ``ids`` is
-    the numpy-encoded activity vector (same codec, -1 for ``None``)
-    when the group was built inside a search; ``None`` otherwise.
+    identifies the member set exactly as ``signature`` does.
     """
 
     members: tuple[BasePartition, ...]
@@ -116,7 +103,6 @@ class _Group:
     switch_pairs_lenient: float
     signature: frozenset[str]
     mask: int
-    ids: "np.ndarray | None" = field(default=None, repr=False, compare=False)
 
     def switch_pairs(self, policy: TransitionPolicy) -> float:
         if policy is TransitionPolicy.STRICT:
@@ -176,78 +162,59 @@ def _weighted_switch_sums(
 
 
 def _switch_stats(
-    activity: Sequence[str | None], ids, weights
+    activity: Sequence[str | None], weights
 ) -> tuple[float, float]:
-    """(strict, lenient) switch stats with a size-based kernel dispatch.
-
-    The choice depends only on the configuration count and the presence
-    of encoded ids, both fixed for one search, so every group -- and the
-    pair-stat peeks in :class:`_PairStats` -- computes with the same
-    implementation and gets bit-identical values.
-    """
-    vectorize = ids is not None and len(activity) >= _VECTORIZE_MIN_CONFIGS
+    """(strict, lenient) switch stats: pair counts, or pair-weight sums
+    when the search carries a weight matrix."""
     if weights is None:
-        if vectorize:
-            return switch_pair_counts_encoded(ids)
         return _switch_pair_counts(activity)
-    if vectorize:
-        return weighted_switch_sums_encoded(ids, weights)
     return _weighted_switch_sums(activity, weights)
 
 
-def _make_group(
-    members: tuple[BasePartition, ...],
-    activity: tuple[str | None, ...],
-    usage: int,
-    signature: frozenset[str],
-    mask: int,
-    weights=None,
-    ids=None,
-) -> _Group:
-    rc = rb = rd = 0
-    for p in members:
-        r = p.resources
-        if r.clb > rc:
-            rc = r.clb
-        if r.bram > rb:
-            rb = r.bram
-        if r.dsp > rd:
-            rd = r.dsp
-    requirement = (rc, rb, rd)
-    footprint, frames = _quantise(requirement)
-    strict, lenient = _switch_stats(activity, ids, weights)
-    return _Group(
-        members=members,
-        activity=activity,
-        usage=usage,
-        requirement=requirement,
-        frames=frames,
-        footprint=footprint,
-        switch_pairs_strict=strict,
-        switch_pairs_lenient=lenient,
-        signature=signature,
-        mask=mask,
-        ids=ids,
+def _overlay_stats(
+    a: _Group, b: _Group, weights
+) -> tuple[tuple[str | None, ...], Vec, int, Vec, float, float]:
+    """(activity, requirement, frames, footprint, strict, lenient) of the
+    region holding two compatible groups.
+
+    The requirement is the componentwise max, and the activity takes
+    whichever side is active per configuration (the sides are disjoint,
+    so the overlay is symmetric).
+    """
+    ra, rb = a.requirement, b.requirement
+    requirement = (
+        ra[0] if ra[0] >= rb[0] else rb[0],
+        ra[1] if ra[1] >= rb[1] else rb[1],
+        ra[2] if ra[2] >= rb[2] else rb[2],
     )
+    footprint, frames = _quantise(requirement)
+    activity = tuple(
+        x if x is not None else y for x, y in zip(a.activity, b.activity)
+    )
+    strict, lenient = _switch_stats(activity, weights)
+    return activity, requirement, frames, footprint, strict, lenient
 
 
 def _initial_groups(
     design: PRDesign,
     cps: CandidatePartitionSet,
-    weights=None,
-    codec: dict[str, int] | None = None,
+    cache: _MergeCache | None = None,
 ) -> list[_Group]:
     """Each candidate partition in its own region.
 
-    Passing a label ``codec`` (normally the merge cache's) additionally
-    encodes every activity vector for the vectorized kernels and numbers
-    the member-mask bits; groups merged through one cache must share one
-    codec.  Without a codec, mask bits follow the partitions' order.
+    Groups merged through one cache must be built from it: switch stats
+    are taken under ``cache.weights`` and each member bit is numbered
+    through ``cache.codec`` on first sight of its label.  Without a
+    cache, a fresh unweighted one numbers the bits in partition order.
     """
+    if cache is None:
+        cache = _MergeCache()
+    weights = cache.weights
+    codec = cache.codec
     config_modes = [frozenset(c.modes) for c in design.configurations]
     config_names = [c.name for c in design.configurations]
     groups: list[_Group] = []
-    for k, bp in enumerate(cps.partitions):
+    for bp in cps.partitions:
         label = bp.label
         activity = tuple(
             label if label in cps.cover[name] else None
@@ -257,17 +224,21 @@ def _initial_groups(
         for i, modes in enumerate(config_modes):
             if bp.modes & modes:
                 usage |= 1 << i
-        if codec is None:
-            ids, bit = None, k
-        else:
-            # Every candidate partition supplies some configuration, so
-            # encoding its activity puts its label in the codec.
-            ids = encode_activity(activity, codec)
-            bit = codec[label]
+        requirement = bp.resources.as_tuple()
+        footprint, frames = _quantise(requirement)
+        strict, lenient = _switch_stats(activity, weights)
         groups.append(
-            _make_group(
-                (bp,), activity, usage, frozenset((label,)), 1 << bit,
-                weights, ids,
+            _Group(
+                members=(bp,),
+                activity=activity,
+                usage=usage,
+                requirement=requirement,
+                frames=frames,
+                footprint=footprint,
+                switch_pairs_strict=strict,
+                switch_pairs_lenient=lenient,
+                signature=frozenset((label,)),
+                mask=1 << codec.setdefault(label, len(codec)),
             )
         )
     return groups
@@ -280,9 +251,8 @@ class _MergeCache:
     and unweighted searches requires separate caches.  ``hits``/``misses``
     are plain ints maintained unconditionally (two integer adds per merge
     -- negligible next to group construction) so tracers can report cache
-    effectiveness without touching the hot path.  ``codec`` is the shared
-    label-id mapping for the vectorized kernels and the member-mask bits;
-    merged ids are derived by overlaying the parents' encodings.
+    effectiveness without touching the hot path.  ``codec`` numbers the
+    member-mask bits of every group built for this cache.
 
     Lookups go through ``_index``, keyed by member mask (one int OR per
     merge).  ``_cache`` holds the same groups keyed by label set; it is
@@ -303,20 +273,20 @@ class _MergeCache:
         merged = self._index.get(key)
         if merged is None:
             self.misses += 1
-            activity = tuple(
-                x if x is not None else y for x, y in zip(a.activity, b.activity)
+            activity, requirement, frames, footprint, strict, lenient = (
+                _overlay_stats(a, b, self.weights)
             )
-            ids = None
-            if a.ids is not None and b.ids is not None:
-                ids = merge_encoded(a.ids, b.ids)
-            merged = _make_group(
-                a.members + b.members,
-                activity,
-                a.usage | b.usage,
-                a.signature | b.signature,
-                key,
-                self.weights,
-                ids,
+            merged = _Group(
+                members=a.members + b.members,
+                activity=activity,
+                usage=a.usage | b.usage,
+                requirement=requirement,
+                frames=frames,
+                footprint=footprint,
+                switch_pairs_strict=strict,
+                switch_pairs_lenient=lenient,
+                signature=a.signature | b.signature,
+                mask=key,
             )
             self._index[key] = merged
             self._cache[merged.signature] = merged
@@ -387,22 +357,8 @@ class _PairStats:
             if cached is not None:
                 val = self._value_of(cached)
             else:
-                ra, rb = a.requirement, b.requirement
-                req = (
-                    ra[0] if ra[0] >= rb[0] else rb[0],
-                    ra[1] if ra[1] >= rb[1] else rb[1],
-                    ra[2] if ra[2] >= rb[2] else rb[2],
-                )
-                footprint, frames = _quantise(req)
-                activity = tuple(
-                    x if x is not None else y
-                    for x, y in zip(a.activity, b.activity)
-                )
-                ids = None
-                if a.ids is not None and b.ids is not None:
-                    ids = merge_encoded(a.ids, b.ids)
-                sw_strict, sw_lenient = _switch_stats(
-                    activity, ids, self._cache.weights
+                _, _, frames, footprint, sw_strict, sw_lenient = (
+                    _overlay_stats(a, b, self._cache.weights)
                 )
                 val = (
                     frames * (sw_strict if self._strict else sw_lenient),
@@ -512,7 +468,7 @@ def search_candidate_set(
     cache = merge_cache or _MergeCache(weights)
     cache_hits0, cache_misses0 = cache.hits, cache.misses
 
-    base = _initial_groups(design, cps, weights, cache.codec)
+    base = _initial_groups(design, cps, cache)
     best_groups: list[_Group] | None = None
     best_cost: float | None = None
     states = 0

@@ -14,8 +14,6 @@ every constructed scheme.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 from .clustering import BasePartition
 from .model import PRDesign
 
@@ -35,96 +33,3 @@ def are_compatible(
         if (a.modes & config.modes) and (b.modes & config.modes):
             return False
     return True
-
-
-class CompatibilityIndex:
-    """Precomputed compatibility over a working set of partitions.
-
-    The merge search adds and removes partitions as regions merge, so the
-    index is mutable: :meth:`add` registers a new (merged) partition,
-    :meth:`remove` retires consumed ones.  Queries are O(1) set lookups.
-    """
-
-    def __init__(self, design: PRDesign, partitions: Iterable[BasePartition] = ()):
-        self._design = design
-        # For each partition label: the set of configuration indices that
-        # use at least one of its modes. Two partitions are compatible iff
-        # their usage sets are disjoint AND their mode sets are disjoint.
-        self._usage: dict[str, frozenset[int]] = {}
-        self._modes: dict[str, frozenset[str]] = {}
-        self._config_modes: list[frozenset[str]] = [
-            frozenset(c.modes) for c in design.configurations
-        ]
-        for p in partitions:
-            self.add(p)
-
-    # ------------------------------------------------------------------
-    def _usage_of(self, modes: frozenset[str]) -> frozenset[int]:
-        return frozenset(
-            i for i, cmodes in enumerate(self._config_modes) if modes & cmodes
-        )
-
-    def add(self, partition: BasePartition) -> None:
-        """Register a partition (idempotent for identical labels)."""
-        label = partition.label
-        self._usage[label] = self._usage_of(partition.modes)
-        self._modes[label] = partition.modes
-
-    def remove(self, partition: BasePartition) -> None:
-        """Retire a partition from the working set."""
-        self._usage.pop(partition.label, None)
-        self._modes.pop(partition.label, None)
-
-    def __contains__(self, partition: BasePartition) -> bool:
-        return partition.label in self._usage
-
-    def __len__(self) -> int:
-        return len(self._usage)
-
-    # ------------------------------------------------------------------
-    def compatible(self, a: BasePartition, b: BasePartition) -> bool:
-        """True when ``a`` and ``b`` may share a region."""
-        ua = self._usage.get(a.label)
-        ub = self._usage.get(b.label)
-        if ua is None:
-            ua = self._usage_of(a.modes)
-        if ub is None:
-            ub = self._usage_of(b.modes)
-        if a.modes & b.modes:
-            return False
-        return not (ua & ub)
-
-    def compatible_pairs(
-        self, partitions: Sequence[BasePartition]
-    ) -> list[tuple[int, int]]:
-        """Index pairs (i < j) of compatible partitions within a sequence."""
-        pairs: list[tuple[int, int]] = []
-        for i in range(len(partitions)):
-            for j in range(i + 1, len(partitions)):
-                if self.compatible(partitions[i], partitions[j]):
-                    pairs.append((i, j))
-        return pairs
-
-    def compatible_set(
-        self, target: BasePartition, partitions: Sequence[BasePartition]
-    ) -> list[BasePartition]:
-        """All partitions from ``partitions`` compatible with ``target``.
-
-        This is the paper's "compatible set of partitions for each base
-        partition from the candidate partition set".
-        """
-        return [p for p in partitions if p.label != target.label and self.compatible(target, p)]
-
-
-def compatibility_table(
-    design: PRDesign, partitions: Sequence[BasePartition]
-) -> dict[tuple[str, str], bool]:
-    """Full pairwise table keyed by (label_a, label_b), a < b."""
-    index = CompatibilityIndex(design, partitions)
-    table: dict[tuple[str, str], bool] = {}
-    for i in range(len(partitions)):
-        for j in range(i + 1, len(partitions)):
-            a, b = partitions[i], partitions[j]
-            key = tuple(sorted((a.label, b.label)))
-            table[key] = index.compatible(a, b)  # type: ignore[index]
-    return table

@@ -114,7 +114,7 @@ def pareto_front(
         from .allocation import _greedy_descent, _initial_groups, _mergeable
         import itertools
 
-        base = _initial_groups(design, cps)
+        base = _initial_groups(design, cps, cache)
 
         def collect(groups) -> None:
             usage = ResourceVector.zero()

@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.clustering import enumerate_base_partitions, partitions_by_label
-from repro.core.compatibility import (
-    CompatibilityIndex,
-    are_compatible,
-    compatibility_table,
-)
+from repro.core.compatibility import are_compatible
 
 
 @pytest.fixture
@@ -53,60 +49,3 @@ class TestPaperExamples:
         # {A2} lives only in Conf.5; {A1, C2} lives only in Conf.4 --
         # usages are disjoint, so they may share a region.
         assert are_compatible(bps["{A2}"], bps["{A1, C2}"], paper_example)
-
-
-class TestCompatibilityIndex:
-    def test_matches_direct_relation(self, paper_example, bps):
-        partitions = list(bps.values())
-        index = CompatibilityIndex(paper_example, partitions)
-        for i, a in enumerate(partitions):
-            for b in partitions[i + 1 :]:
-                assert index.compatible(a, b) == are_compatible(
-                    a, b, paper_example
-                )
-
-    def test_add_remove(self, paper_example, bps):
-        index = CompatibilityIndex(paper_example)
-        assert len(index) == 0
-        index.add(bps["{A1}"])
-        assert bps["{A1}"] in index
-        index.remove(bps["{A1}"])
-        assert bps["{A1}"] not in index
-        index.remove(bps["{A1}"])  # idempotent
-
-    def test_query_without_registration(self, paper_example, bps):
-        index = CompatibilityIndex(paper_example)
-        # Unregistered partitions are computed on the fly.
-        assert index.compatible(bps["{A1}"], bps["{A2}"])
-
-    def test_compatible_pairs(self, paper_example, bps):
-        partitions = [bps["{A1}"], bps["{A2}"], bps["{B1}"]]
-        index = CompatibilityIndex(paper_example, partitions)
-        pairs = index.compatible_pairs(partitions)
-        # A1-A2 compatible; A1-B1 not (Conf.2); A2-B1: A2 only in Conf.5
-        # which has B2, so compatible.
-        assert (0, 1) in pairs
-        assert (0, 2) not in pairs
-        assert (1, 2) in pairs
-
-    def test_compatible_set(self, paper_example, bps):
-        partitions = [bps["{A1}"], bps["{A2}"], bps["{B1}"], bps["{B2}"]]
-        index = CompatibilityIndex(paper_example, partitions)
-        comp = index.compatible_set(bps["{A1}"], partitions)
-        labels = {p.label for p in comp}
-        assert labels == {"{A2}"}  # B1 co-occurs in Conf.2, B2 in Conf.4
-
-
-class TestCompatibilityTable:
-    def test_keys_sorted_and_complete(self, paper_example, bps):
-        partitions = [bps["{A1}"], bps["{A2}"], bps["{B1}"]]
-        table = compatibility_table(paper_example, partitions)
-        assert len(table) == 3
-        for a, b in table:
-            assert a < b
-
-    def test_values_match_relation(self, paper_example, bps):
-        partitions = [bps["{A1}"], bps["{A2}"], bps["{B1}"]]
-        table = compatibility_table(paper_example, partitions)
-        assert table[("{A1}", "{A2}")] is True
-        assert table[("{A1}", "{B1}")] is False

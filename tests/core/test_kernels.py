@@ -1,4 +1,9 @@
-"""Vectorized cost kernels vs the scalar reference loops."""
+"""Cost kernels and the merge search's scalar switch statistics.
+
+The encoded kernels are checked against scalar loops; the merge
+search's switch-pair loops are checked against the strict and lenient
+pair definitions, enumerated pair by pair.
+"""
 
 from __future__ import annotations
 
@@ -7,20 +12,47 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.allocation import _switch_pair_counts, _weighted_switch_sums
-from repro.core.kernels import (
-    NONE_ID,
-    encode_activity,
-    merge_encoded,
-    pairwise_frames_matrix,
-    switch_pair_counts_encoded,
-    weighted_switch_sums_encoded,
+from repro.core.allocation import (
+    _Group,
+    _overlay_stats,
+    _switch_pair_counts,
+    _weighted_switch_sums,
 )
+from repro.core.kernels import NONE_ID, encode_activity, pairwise_frames_matrix
 
 
 def _random_activity(rng, n, labels=("a", "b", "c", "d")):
     pool = list(labels) + [None]
     return tuple(pool[rng.integers(len(pool))] for _ in range(n))
+
+
+def _reference_sums(activity, weight):
+    """(strict, lenient) by definition: over every unordered pair, strict
+    adds ``weight(i, j)`` when the entries differ (``None`` is a value),
+    lenient when they differ and both are non-``None``."""
+    strict = lenient = 0
+    for i, j in itertools.combinations(range(len(activity)), 2):
+        a, b = activity[i], activity[j]
+        if a != b:
+            strict += weight(i, j)
+            if a is not None and b is not None:
+                lenient += weight(i, j)
+    return strict, lenient
+
+
+def _group(activity, requirement=(0, 0, 0)):
+    return _Group(
+        members=(),
+        activity=activity,
+        usage=0,
+        requirement=requirement,
+        frames=0,
+        footprint=(0, 0, 0),
+        switch_pairs_strict=0,
+        switch_pairs_lenient=0,
+        signature=frozenset(),
+        mask=0,
+    )
 
 
 class TestEncodeActivity:
@@ -44,57 +76,60 @@ class TestEncodeActivity:
         assert (a == b).tolist() == [True, False, False]
 
 
-class TestMergeEncoded:
+class TestOverlayStats:
     def test_overlay_prefers_active_side(self):
-        codec: dict[str, int] = {}
-        a = encode_activity(("x", None, None, "y"), codec)
-        b = encode_activity((None, "z", None, None), codec)
-        merged = merge_encoded(a, b)
-        assert merged.tolist() == [codec["x"], codec["z"], NONE_ID, codec["y"]]
+        a = _group(("x", None, None, "y"), (30, 4, 0))
+        b = _group((None, "z", None, None), (10, 8, 9))
+        activity, requirement, frames, footprint, strict, lenient = (
+            _overlay_stats(a, b, None)
+        )
+        assert activity == ("x", "z", None, "y")
+        assert requirement == (30, 8, 9)
+        # 2 CLB tiles, 2 BRAM tiles, 2 DSP tiles (Eqs. 3-6).
+        assert footprint == (40, 8, 16)
+        assert frames == 2 * 36 + 2 * 30 + 2 * 28
+        assert (strict, lenient) == _switch_pair_counts(activity)
 
     def test_symmetric_for_disjoint_vectors(self):
-        codec: dict[str, int] = {}
-        a = encode_activity(("x", None), codec)
-        b = encode_activity((None, "y"), codec)
-        assert (merge_encoded(a, b) == merge_encoded(b, a)).all()
+        a = _group(("x", None, "x"), (5, 0, 0))
+        b = _group((None, "y", None), (0, 3, 0))
+        W = np.array([[0.0, 0.5, 0.25], [0.5, 0.0, 0.125], [0.25, 0.125, 0.0]])
+        for weights in (None, W):
+            assert _overlay_stats(a, b, weights) == _overlay_stats(
+                b, a, weights
+            )
 
 
 class TestSwitchPairCounts:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_scalar_reference(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(0, 20))
-        activity = _random_activity(rng, n)
-        codec: dict[str, int] = {}
-        ids = encode_activity(activity, codec)
-        assert switch_pair_counts_encoded(ids) == _switch_pair_counts(activity)
+        activity = _random_activity(rng, int(rng.integers(2, 25)))
+        assert _switch_pair_counts(activity) == _reference_sums(
+            activity, lambda i, j: 1
+        )
 
     def test_exact_ints(self):
-        codec: dict[str, int] = {}
-        ids = encode_activity(("a", "b", None, "a", None, "c"), codec)
-        strict, lenient = switch_pair_counts_encoded(ids)
+        strict, lenient = _switch_pair_counts(("a", "b", None, "a", None, "c"))
         assert isinstance(strict, int) and isinstance(lenient, int)
+        assert (strict, lenient) == (13, 5)
 
 
 class TestWeightedSwitchSums:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_scalar_reference(self, seed):
         rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(2, 16))
+        n = int(rng.integers(2, 25))
         activity = _random_activity(rng, n)
         W = rng.random((n, n))
         W = W + W.T
-        codec: dict[str, int] = {}
-        ids = encode_activity(activity, codec)
-        vec = weighted_switch_sums_encoded(ids, W)
-        ref = _weighted_switch_sums(activity, W)
-        assert vec[0] == pytest.approx(ref[0], rel=1e-12)
-        assert vec[1] == pytest.approx(ref[1], rel=1e-12)
+        # Same terms in the same order, so the float sums are equal.
+        assert _weighted_switch_sums(activity, W) == _reference_sums(
+            activity, lambda i, j: float(W[i, j])
+        )
 
     def test_empty_vector(self):
-        assert weighted_switch_sums_encoded(
-            np.empty(0, dtype=np.int32), np.zeros((0, 0))
-        ) == (0.0, 0.0)
+        assert _weighted_switch_sums((), np.zeros((0, 0))) == (0.0, 0.0)
 
 
 class TestPairwiseFramesMatrix:
